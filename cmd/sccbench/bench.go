@@ -10,7 +10,6 @@ import (
 	"metalsvm/internal/bench"
 	"metalsvm/internal/bench/runner"
 	"metalsvm/internal/cpu"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/stats"
 )
@@ -19,8 +18,7 @@ import (
 const benchReportFile = "BENCH_sim.json"
 
 // benchExperiment is one quick-configuration experiment the -bench mode
-// times. run must be a pure function of the global fast-path switch and
-// the bench parallelism; simUS converts its result to total simulated
+// times. run must be a pure function of the bench parallelism; simUS converts its result to total simulated
 // microseconds (for latency sweeps this is reconstructed from the reported
 // averages, so sim_cycles_per_sec is a throughput proxy, not an exact
 // retirement count).
@@ -78,8 +76,8 @@ func benchExperiments() []benchExperiment {
 
 // benchSimRecord is one experiment's bit-exact simulated result. These
 // fields are pure functions of the experiment configuration — identical on
-// every machine, at every parallelism and intra worker count — and are the
-// only fields -baseline compares against the committed BENCH_sim.json.
+// every machine and at every parallelism — and are the only fields
+// -baseline compares against the committed BENCH_sim.json.
 type benchSimRecord struct {
 	Experiment  string  `json:"experiment"`
 	SimulatedUS float64 `json:"simulated_us"`
@@ -87,56 +85,42 @@ type benchSimRecord struct {
 
 // benchHostRecord is one experiment's host wall-clock measurements. These
 // drift between machines and runs and are never part of the baseline
-// comparison. "Slow" is the reference configuration: fast paths off and one
-// simulation at a time — the seed's behaviour. All four configurations must
-// produce bit-identical simulation results; -bench exits non-zero if not.
+// comparison; perfbench/ is the repository's host-time instrument. The
+// serial and host-parallel runs must produce bit-identical simulation
+// results; -bench exits non-zero if not.
 type benchHostRecord struct {
-	Experiment       string  `json:"experiment"`
-	SerialSlowSec    float64 `json:"serial_slow_sec"`
-	SerialFastSec    float64 `json:"serial_fast_sec"`
-	ParallelSec      float64 `json:"parallel_sec"`
-	IntraParallelSec float64 `json:"intra_parallel_sec"`
-	FastPathSpeedup  float64 `json:"fastpath_speedup"`
-	ParallelSpeedup  float64 `json:"parallel_speedup"`
-	IntraSpeedup     float64 `json:"intra_speedup"`
-	TotalSpeedup     float64 `json:"total_speedup"`
-	SimCyclesPerSec  float64 `json:"sim_cycles_per_sec"`
-	FastPathMatches  bool    `json:"fastpath_matches_reference"`
-	ParallelMatches  bool    `json:"parallel_matches_serial"`
-	IntraMatches     bool    `json:"intra_matches_serial"`
+	Experiment      string  `json:"experiment"`
+	SerialSec       float64 `json:"serial_sec"`
+	ParallelSec     float64 `json:"parallel_sec"`
+	ParallelSpeedup float64 `json:"parallel_speedup"`
+	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
+	ParallelMatches bool    `json:"parallel_matches_serial"`
 }
 
 type benchReport struct {
-	GOMAXPROCS   int `json:"gomaxprocs"`
-	Workers      int `json:"workers"`
-	IntraWorkers int `json:"intra_workers"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	Workers    int `json:"workers"`
 	// HostParallelMeaningful is false when the process cannot actually run
 	// anything concurrently (GOMAXPROCS=1) or was asked not to (one worker):
-	// the parallel and intra wall-clock columns then measure scheduling
-	// overhead, not speedup, and must not be read as such.
+	// the parallel wall-clock column then measures scheduling overhead, not
+	// speedup, and must not be read as such.
 	HostParallelMeaningful bool              `json:"host_parallel_meaningful"`
 	Note                   string            `json:"note,omitempty"`
 	Simulated              []benchSimRecord  `json:"simulated"`
 	Host                   []benchHostRecord `json:"host"`
 }
 
-// runBench times each quick experiment in four configurations — fast paths
-// off + serial (the reference), fast paths on + serial, fast paths on +
-// parallel across simulations, fast paths on + intra-parallel within each
-// simulation — verifies all four agree bit-exactly, prints a summary, and
-// writes BENCH_sim.json with the bit-exact simulated fields separated from
-// the machine-dependent wall-clock fields. With baseline set, the fresh
+// runBench runs each quick experiment serially and on the host-parallel
+// runner, verifies the two agree bit-exactly, prints a summary, and writes
+// BENCH_sim.json with the bit-exact simulated fields separated from the
+// machine-dependent wall-clock fields. With baseline set, the fresh
 // simulated results are first diffed bit-for-bit against the committed
 // BENCH_sim.json (which is left untouched on mismatch, so the drift stays
 // inspectable). Returns the process exit code.
-func runBench(workers, intra int, baseline bool) int {
-	if intra < 2 {
-		intra = 4 // measure a representative wave-dispatch width by default
-	}
+func runBench(workers int, baseline bool) int {
 	report := benchReport{
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Workers:      runner.New(workers).Workers(),
-		IntraWorkers: intra,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Workers:    runner.New(workers).Workers(),
 	}
 	report.HostParallelMeaningful = report.GOMAXPROCS > 1 && report.Workers > 1
 	if !report.HostParallelMeaningful {
@@ -147,71 +131,38 @@ func runBench(workers, intra int, baseline bool) int {
 	// Simulated core cycles per reported microsecond (533 MHz cores).
 	cyclesPerUS := 1e6 / float64(cpu.DefaultConfig().Clock.PeriodPS)
 
-	fmt.Printf("sccbench -bench: %d worker(s), %d intra worker(s) on GOMAXPROCS=%d\n",
-		report.Workers, report.IntraWorkers, report.GOMAXPROCS)
+	fmt.Printf("sccbench -bench: %d worker(s) on GOMAXPROCS=%d\n", report.Workers, report.GOMAXPROCS)
 	exit := 0
 	for _, ex := range benchExperiments() {
-		var slow, serial, par, wave any
-		fastpath.SetIntraWorkers(0)
-		fastpath.SetEnabled(false)
+		var serial, par any
 		bench.SetParallelism(1)
-		slowSec := runner.Wall(func() { slow = ex.run() }).Seconds()
-		fastpath.SetEnabled(true)
 		serialSec := runner.Wall(func() { serial = ex.run() }).Seconds()
 		bench.SetParallelism(workers)
 		parSec := runner.Wall(func() { par = ex.run() }).Seconds()
-		bench.SetParallelism(1)
-		fastpath.SetIntraWorkers(intra)
-		waveSec := runner.Wall(func() { wave = ex.run() }).Seconds()
-		fastpath.SetIntraWorkers(0)
 
 		rec := benchHostRecord{
-			Experiment:       ex.name,
-			SerialSlowSec:    slowSec,
-			SerialFastSec:    serialSec,
-			ParallelSec:      parSec,
-			IntraParallelSec: waveSec,
-			FastPathSpeedup:  slowSec / serialSec,
-			ParallelSpeedup:  serialSec / parSec,
-			IntraSpeedup:     serialSec / waveSec,
-			TotalSpeedup:     slowSec / parSec,
-			FastPathMatches:  reflect.DeepEqual(slow, serial),
-			ParallelMatches:  reflect.DeepEqual(serial, par),
-			IntraMatches:     reflect.DeepEqual(serial, wave),
+			Experiment:      ex.name,
+			SerialSec:       serialSec,
+			ParallelSec:     parSec,
+			ParallelSpeedup: serialSec / parSec,
+			ParallelMatches: reflect.DeepEqual(serial, par),
 		}
 		sim := benchSimRecord{Experiment: ex.name, SimulatedUS: ex.simUS(serial)}
 		rec.SimCyclesPerSec = sim.SimulatedUS * cyclesPerUS / parSec
 		report.Simulated = append(report.Simulated, sim)
 		report.Host = append(report.Host, rec)
-		if !rec.FastPathMatches {
-			fmt.Fprintf(os.Stderr, "sccbench -bench: %s: fast paths DIVERGE from the reference configuration\n", ex.name)
-			exit = 1
-		}
 		if !rec.ParallelMatches {
 			fmt.Fprintf(os.Stderr, "sccbench -bench: %s: parallel run DIVERGES from the serial run\n", ex.name)
 			exit = 1
 		}
-		if !rec.IntraMatches {
-			fmt.Fprintf(os.Stderr, "sccbench -bench: %s: intra-parallel run DIVERGES from the serial run\n", ex.name)
-			exit = 1
-		}
 	}
-	// Leave the process-global switches as the flags configured them.
-	fastpath.SetEnabled(true)
-	bench.SetParallelism(workers)
 
-	t := stats.NewTable("experiment", "ref [s]", "fast [s]", "parallel [s]", "intra [s]",
-		"fastpath x", "parallel x", "intra x", "total x", "Mcycles/s")
+	t := stats.NewTable("experiment", "serial [s]", "parallel [s]", "parallel x", "Mcycles/s")
 	for _, r := range report.Host {
 		t.AddRow(r.Experiment,
-			fmt.Sprintf("%.2f", r.SerialSlowSec),
-			fmt.Sprintf("%.2f", r.SerialFastSec),
+			fmt.Sprintf("%.2f", r.SerialSec),
 			fmt.Sprintf("%.2f", r.ParallelSec),
-			fmt.Sprintf("%.2f", r.IntraParallelSec),
-			fmt.Sprintf("%.2f", r.FastPathSpeedup),
 			fmt.Sprintf("%.2f", r.ParallelSpeedup),
-			fmt.Sprintf("%.2f", r.IntraSpeedup),
-			fmt.Sprintf("%.2f", r.TotalSpeedup),
 			fmt.Sprintf("%.1f", r.SimCyclesPerSec/1e6))
 	}
 	fmt.Print(t)
@@ -219,7 +170,7 @@ func runBench(workers, intra int, baseline bool) int {
 		fmt.Println("note:", report.Note)
 	}
 	if exit == 0 {
-		fmt.Println("all configurations bit-identical (fast paths, parallel runner, intra-parallel waves)")
+		fmt.Println("serial and parallel runs bit-identical")
 	}
 
 	if baseline {
@@ -244,9 +195,11 @@ func runBench(workers, intra int, baseline bool) int {
 }
 
 // diffBaseline compares the fresh report's simulated microseconds against
-// the committed BENCH_sim.json. Simulated time is a pure function of the
-// configuration, so the comparison is bit-exact; host wall-clock columns are
-// expected to drift between machines and are ignored.
+// the committed BENCH_sim.json, in both directions: every fresh experiment
+// must match its baseline entry, and every baseline experiment must have
+// run. Simulated time is a pure function of the configuration, so the
+// comparison is bit-exact; host wall-clock columns are expected to drift
+// between machines and are ignored.
 func diffBaseline(report benchReport) error {
 	data, err := os.ReadFile(benchReportFile)
 	if err != nil {
@@ -260,7 +213,9 @@ func diffBaseline(report benchReport) error {
 	for _, r := range base.Simulated {
 		prev[r.Experiment] = r.SimulatedUS
 	}
+	ran := make(map[string]bool, len(report.Simulated))
 	for _, r := range report.Simulated {
+		ran[r.Experiment] = true
 		want, ok := prev[r.Experiment]
 		if !ok {
 			return fmt.Errorf("experiment %q missing from baseline %s: regenerate and commit it",
@@ -270,6 +225,13 @@ func diffBaseline(report benchReport) error {
 			return fmt.Errorf("experiment %q: simulated_us = %v, baseline says %v: "+
 				"the simulation drifted; if intentional, regenerate %s with -bench and commit it",
 				r.Experiment, r.SimulatedUS, want, benchReportFile)
+		}
+	}
+	for _, r := range base.Simulated {
+		if !ran[r.Experiment] {
+			return fmt.Errorf("baseline experiment %q did not run: "+
+				"if it was removed on purpose, regenerate %s with -bench and commit it",
+				r.Experiment, benchReportFile)
 		}
 	}
 	return nil

@@ -23,14 +23,11 @@
 // machine — e.g. `sccbench -chips 4 -grid 8x8x2 scale` boots 512 cores.
 //
 // Independent simulations (one per sweep point) fan out across host CPUs
-// by default; -parallel 1 forces serial execution. -intra N additionally
-// spreads every single simulation over N host workers (conservative-PDES
-// wave dispatch over the mesh-hop lookahead). The results are bit-identical
-// either way — each simulation is a pure function of its configuration,
-// and the wave engine replays its bookkeeping in exact serial order.
-// -json emits machine-readable results instead of tables, and -bench
-// measures the host-side speedup of the fast paths, the parallel runner
-// and the intra-run wave dispatch, writing BENCH_sim.json. -cpuprofile and
+// by default; -parallel 1 forces serial execution. The results are
+// bit-identical either way — each simulation is a pure function of its
+// configuration. -json emits machine-readable results instead of tables,
+// and -bench runs the quick experiments serially and in parallel, checks
+// that both agree bit for bit, and writes BENCH_sim.json. -cpuprofile and
 // -memprofile write standard pprof profiles of the host process.
 package main
 
@@ -44,7 +41,6 @@ import (
 
 	"metalsvm/internal/bench"
 	"metalsvm/internal/core"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/stats"
 	"metalsvm/internal/svm"
@@ -67,11 +63,10 @@ func run() int {
 	kvRequests := flag.Int("kv-requests", 20000, "with the kvstore command: total requests across all client cores")
 	kvSeed := flag.Uint64("kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
 	parallel := flag.Int("parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
-	intra := flag.Int("intra", 0, "host workers per single simulation (conservative-PDES wave dispatch; 0 or 1 = serial engine, results are bit-identical at any count)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write a host heap profile to `file` at exit")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
-	benchMode := flag.Bool("bench", false, "measure host wall-clock of the experiments (fast paths and parallel runner on vs off), write BENCH_sim.json, and verify the configurations agree bit-exactly")
+	benchMode := flag.Bool("bench", false, "run the quick experiments serially and on the parallel runner, verify both agree bit-exactly, and write BENCH_sim.json")
 	metricsFlag := flag.Bool("metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
 	profileFlag := flag.Bool("profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
 	perfettoOut := flag.String("perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
@@ -122,7 +117,6 @@ func run() int {
 		}()
 	}
 	bench.SetParallelism(*parallel)
-	fastpath.SetIntraWorkers(*intra)
 	if *check {
 		if !runCheck(*parallel, topo) {
 			return 1
@@ -143,7 +137,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sccbench: -bench measures the committed paper-chip baseline; drop -chips/-grid\n")
 			return 2
 		}
-		return runBench(*parallel, *intra, *baseline)
+		return runBench(*parallel, *baseline)
 	}
 	if flag.NArg() != 1 {
 		flag.Usage()

@@ -205,31 +205,32 @@ func engine() { go func() {}() }
 	wantFindings(t, msgs)
 }
 
-func TestSimDetSimWaveRunnerAnnotationAllowsSyncImports(t *testing.T) {
+func TestSimDetSimHostParallelAnnotationDoesNotAllowSyncImports(t *testing.T) {
 	msgs := check(t, SimDet, pkgSrc{path: "metalsvm/internal/sim", src: `
-//metalsvm:host-parallel — wave runner
+//metalsvm:host-parallel
 package sim
 import (
 	"sync"
 	"sync/atomic"
 )
-func wave() {
+func parallel() {
 	var wg sync.WaitGroup
 	var n atomic.Int64
 	n.Add(1)
 	wg.Wait()
 }
 `})
-	wantFindings(t, msgs)
+	wantFindings(t, msgs, "not allowed in core simulation package metalsvm/internal/sim",
+		`import "sync" in internal/sim`, `import "sync/atomic" in internal/sim`)
 }
 
-func TestSimDetSimSyncImportRequiresAnnotation(t *testing.T) {
+func TestSimDetSimFlagsSyncImport(t *testing.T) {
 	msgs := check(t, SimDet, pkgSrc{path: "metalsvm/internal/sim", src: `
 package sim
 import "sync"
 func sneaky() { var mu sync.Mutex; mu.Lock(); mu.Unlock() }
 `})
-	wantFindings(t, msgs, "outside the //metalsvm:host-parallel-annotated wave runner")
+	wantFindings(t, msgs, `import "sync" in internal/sim`)
 }
 
 func TestTraceNilFlagsEventLiteral(t *testing.T) {
@@ -339,6 +340,7 @@ func bad() { go func() {}() }
 
 func TestSimDetHostParallelRejectedInCorePackages(t *testing.T) {
 	for _, path := range []string{
+		"metalsvm/internal/sim",
 		"metalsvm/internal/cpu",
 		"metalsvm/internal/svm",
 		"metalsvm/internal/mesh",

@@ -15,13 +15,12 @@ import (
 // silent killer — Go randomizes it per run — so every `range` over a map is
 // flagged unless annotated with //metalsvm:deterministic (the collect-keys-
 // then-sort idiom). `go` statements are reserved for internal/sim, whose
-// engine dispatches one goroutine at a time serially and confines all real
-// host parallelism to its //metalsvm:host-parallel-annotated wave-runner
-// file (sync / sync/atomic imports elsewhere in the engine are flagged) —
-// and for host-side packages annotated //metalsvm:host-parallel above the
-// package clause, which fan whole independent simulations across workers
-// (the annotation also unlocks the host clock for wall-time measurement,
-// and is itself an error inside any other core simulation package).
+// engine hands control between process goroutines one at a time (so it
+// must not import sync or sync/atomic either) — and for host-side packages
+// annotated //metalsvm:host-parallel above the package clause, which fan
+// whole independent simulations across workers (the annotation also
+// unlocks the host clock for wall-time measurement, and is itself an error
+// inside the engine and every other core simulation package).
 var SimDet = &Analyzer{
 	Name: "simdet",
 	Doc: "forbid math/rand, go statements and unannotated map iteration " +
@@ -29,31 +28,27 @@ var SimDet = &Analyzer{
 	Run: runSimDet,
 }
 
-// simDetExempt lists packages allowed to break the rules: internal/sim owns
-// the goroutine handoff machinery, and this package plus its driver run on
-// the host, not in the simulation.
+// simDetExempt lists packages allowed to break the rules: this package and
+// its driver run on the host, not in the simulation.
 var simDetExempt = map[string]bool{
-	"metalsvm/internal/sim":      true,
 	"metalsvm/internal/analysis": true,
 	"metalsvm/cmd/metalsvm-vet":  true,
 }
 
-// simPkgPath is the engine package, which gets its own host-parallel rules:
-// the conservative-PDES wave runner is the one sanctioned engine-internal
-// use of host parallelism, marked by a file-level //metalsvm:host-parallel
-// annotation. Files in internal/sim that import the host concurrency
-// primitives (sync, sync/atomic) must carry that annotation; everywhere
-// else in the package the import — like the annotation in any other core
-// simulation package — is an error.
+// simPkgPath is the engine package, which gets its own rules: it owns the
+// goroutine handoff machinery, so `go` statements are allowed there, but
+// the handoff is strictly serial — one goroutine runs at a time — so any
+// import of the host concurrency primitives (sync, sync/atomic) in its
+// non-test files is an error.
 const simPkgPath = "metalsvm/internal/sim"
 
 // hostParallelDenied lists the core simulation packages where the
 // //metalsvm:host-parallel annotation itself is an error: code on the
 // simulated side of the boundary must never spawn host goroutines, so the
 // annotation cannot be used to smuggle concurrency into the model. The
-// apps/ prefix (simulated workloads) is denied too. internal/sim is not
-// listed: it has the stricter file-scoped rule above.
+// apps/ prefix (simulated workloads) is denied too.
 var hostParallelDenied = map[string]bool{
+	"metalsvm/internal/sim":       true,
 	"metalsvm/internal/cpu":       true,
 	"metalsvm/internal/cache":     true,
 	"metalsvm/internal/pgtable":   true,
@@ -103,12 +98,8 @@ func hostParallelPos(files []*ast.File) token.Pos {
 }
 
 func runSimDet(p *Pass) error {
-	if p.Pkg.Path() == simPkgPath {
-		return runSimDetSimPkg(p)
-	}
-	// The annotation check runs before the exemption return so that even
-	// always-exempt packages cannot carry a meaningless (and confusing)
-	// host-parallel marker if they are on the simulated side.
+	// The annotation check runs before the exemptions so that even the
+	// engine cannot carry a host-parallel marker.
 	hostParallel := false
 	if pos := hostParallelPos(p.Files); pos != token.NoPos {
 		if hostParallelDeniedPath(p.Pkg.Path()) {
@@ -118,6 +109,9 @@ func runSimDet(p *Pass) error {
 		} else {
 			hostParallel = true
 		}
+	}
+	if p.Pkg.Path() == simPkgPath {
+		return runSimDetSimPkg(p)
 	}
 	if simDetExempt[p.Pkg.Path()] {
 		return nil
@@ -164,25 +158,20 @@ func runSimDet(p *Pass) error {
 	return nil
 }
 
-// runSimDetSimPkg applies the engine package's file-scoped rule: the wave
-// runner file is annotated //metalsvm:host-parallel and may use the host
-// concurrency primitives; any other file importing sync or sync/atomic is
-// smuggling host parallelism into the engine without declaring it.
+// runSimDetSimPkg applies the engine package's rule: the engine runs one
+// goroutine at a time, so a non-test file importing sync or sync/atomic is
+// smuggling host parallelism into it.
 func runSimDetSimPkg(p *Pass) error {
 	for _, f := range p.Files {
 		if isTestFile(p.Fset, f.Pos()) {
 			continue
 		}
-		annotated := fileHostParallelPos(f) != token.NoPos
-		if annotated {
-			continue
-		}
 		for _, imp := range f.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
 			if path == "sync" || path == "sync/atomic" {
-				p.Reportf(imp.Pos(), "import %q in internal/sim outside the "+
-					"//%s-annotated wave runner: host concurrency in the engine "+
-					"must be declared file by file", path, HostParallelDirective)
+				p.Reportf(imp.Pos(), "import %q in internal/sim: the engine "+
+					"runs one goroutine at a time and must not use host "+
+					"concurrency primitives", path)
 			}
 		}
 	}

@@ -3,20 +3,15 @@ package bench
 import (
 	"reflect"
 	"testing"
-
-	"metalsvm/internal/fastpath"
-	"metalsvm/internal/faults"
-	"metalsvm/internal/svm"
 )
 
-// TestFastPathAndParallelEquivalence is the bit-exactness contract of the
-// host-side optimizations: for every harness, the reference configuration
-// (fast paths off, one simulation at a time — the seed's behaviour), the
-// fast serial configuration, and the fast parallel configuration must
-// produce deep-equal results, down to the last simulated picosecond. Under
-// `go test -race` this doubles as the race test of the parallel runner:
-// four workers drive whole simulations concurrently.
-func TestFastPathAndParallelEquivalence(t *testing.T) {
+// TestParallelRunnerEquivalence is the bit-exactness contract of the
+// host-parallel runner: for every harness, one simulation at a time and
+// four simulations side by side must produce deep-equal results, down to
+// the last simulated picosecond. Under `go test -race` this doubles as the
+// race test of the parallel runner: four workers drive whole simulations
+// concurrently.
+func TestParallelRunnerEquivalence(t *testing.T) {
 	harnesses := []struct {
 		name string
 		run  func() any
@@ -37,89 +32,16 @@ func TestFastPathAndParallelEquivalence(t *testing.T) {
 			return []float64{with, without}
 		}},
 	}
-	defer fastpath.SetEnabled(true)
 	defer SetParallelism(0)
 	for _, h := range harnesses {
 		t.Run(h.name, func(t *testing.T) {
-			fastpath.SetEnabled(false)
 			SetParallelism(1)
-			ref := h.run()
-
-			fastpath.SetEnabled(true)
-			SetParallelism(1)
-			fast := h.run()
-			if !reflect.DeepEqual(ref, fast) {
-				t.Errorf("fast paths diverge from reference:\nref  = %+v\nfast = %+v", ref, fast)
-			}
+			serial := h.run()
 
 			SetParallelism(4)
 			par := h.run()
-			if !reflect.DeepEqual(fast, par) {
-				t.Errorf("parallel run diverges from serial:\nserial   = %+v\nparallel = %+v", fast, par)
-			}
-
-			fastpath.SetEnabled(false)
-			slowPar := h.run()
-			if !reflect.DeepEqual(ref, slowPar) {
-				t.Errorf("parallel run with fast paths off diverges from reference:\nref      = %+v\nparallel = %+v", ref, slowPar)
-			}
-		})
-	}
-}
-
-// TestIntraParallelEquivalence is the bit-exactness contract of the
-// engine's intra-run wave dispatch: every harness must produce deep-equal
-// results when each single simulation is itself spread over four host
-// workers (conservative-PDES waves), with the cross-simulation runner kept
-// serial so any divergence is attributable to the wave engine. Under
-// `go test -race` this doubles as the race test of the wave worker pool.
-func TestIntraParallelEquivalence(t *testing.T) {
-	harnesses := []struct {
-		name string
-		run  func() any
-	}{
-		{"fig7", func() any { return Fig7(20, []int{2, 4}) }},
-		{"table1", func() any {
-			s, l := Table1Both()
-			return []Table1Result{s, l}
-		}},
-		{"fig9", func() any {
-			cfg := QuickFig9(2)
-			cfg.CoreCounts = []int{2, 4}
-			return Fig9(cfg)
-		}},
-		{"ablation-wcb", func() any {
-			with, without := AblationWCB(2, 4)
-			return []float64{with, without}
-		}},
-		{"chaos-light", func() any {
-			fc, err := faults.ParseConfig("7,light")
-			if err != nil {
-				panic(err)
-			}
-			return Fig7Chaos(20, 4, &fc)
-		}},
-		{"chaos-crash", func() any {
-			fc, err := faults.ParseConfig("7,crash")
-			if err != nil {
-				panic(err)
-			}
-			cfg := QuickFig9(4)
-			return Fig9CrashChaos(cfg, svm.Strong, 4, &fc)
-		}},
-	}
-	defer fastpath.SetIntraWorkers(0)
-	defer SetParallelism(0)
-	SetParallelism(1)
-	for _, h := range harnesses {
-		t.Run(h.name, func(t *testing.T) {
-			fastpath.SetIntraWorkers(0)
-			serial := h.run()
-
-			fastpath.SetIntraWorkers(4)
-			intra := h.run()
-			if !reflect.DeepEqual(serial, intra) {
-				t.Errorf("intra-parallel run diverges from serial:\nserial = %+v\nintra  = %+v", serial, intra)
+			if !reflect.DeepEqual(serial, par) {
+				t.Errorf("parallel run diverges from serial:\nserial   = %+v\nparallel = %+v", serial, par)
 			}
 		})
 	}

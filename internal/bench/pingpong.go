@@ -6,7 +6,6 @@ package bench
 
 import (
 	"metalsvm/internal/core"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/kernel"
 	"metalsvm/internal/mailbox"
@@ -108,7 +107,6 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 		panic(err)
 	}
 	obs := core.Observe(inst, chip, []*kernel.Cluster{cl}, nil)
-	core.WireIntra(eng, chip, fastpath.IntraWorkers())
 
 	done := false
 	var elapsed sim.Duration

@@ -21,11 +21,7 @@
 //     write-through traffic into line-granular transactions.
 package cache
 
-import (
-	"fmt"
-
-	"metalsvm/internal/fastpath"
-)
+import "fmt"
 
 // LineSize is the SCC cache line size in bytes.
 const LineSize = 32
@@ -81,7 +77,7 @@ type Cache struct {
 	// hint caches the way of the last hit per set (way+1; 0 = no hint), so
 	// repeat hits skip the linear way scan. Functionally invisible: a hint
 	// probe returns exactly the line the scan would find, and LRU state
-	// advances identically. nil when fast paths are disabled.
+	// advances identically. nil when ways exceed what a uint8 hint holds.
 	hint []uint8
 }
 
@@ -101,7 +97,7 @@ func New(name string, size, ways int) *Cache {
 	if sets&(sets-1) == 0 {
 		c.setMask = uint32(sets - 1)
 	}
-	if fastpath.Enabled() && ways <= 255 {
+	if ways <= 255 {
 		c.hint = make([]uint8, sets)
 	}
 	return c
@@ -183,20 +179,22 @@ func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) Victim {
 	}
 	tag := LineAddr(paddr)
 	c.tick++
-	set := c.set(paddr)
-	victim := &set[0]
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			victim = l // refill in place
-			break
-		}
-		if !l.valid {
-			victim = l
-			break
-		}
-		if l.lastUse < victim.lastUse {
-			victim = l
+	// A resident copy is refilled in place wherever it sits in the set, so
+	// a set never holds two lines with one tag; otherwise the first invalid
+	// way is taken, else the least recently used one.
+	victim := c.find(paddr)
+	if victim == nil {
+		set := c.set(paddr)
+		victim = &set[0]
+		for i := range set {
+			l := &set[i]
+			if !l.valid {
+				victim = l
+				break
+			}
+			if l.lastUse < victim.lastUse {
+				victim = l
+			}
 		}
 	}
 	var out Victim

@@ -104,6 +104,25 @@ func TestRefillInPlace(t *testing.T) {
 	}
 }
 
+// TestRefillInPlaceBehindInvalidWay: a resident line is refilled in place
+// even when an invalid way precedes it in the set; taking the invalid way
+// instead would leave two lines with one tag, and invalidating one of them
+// would leave a stale copy behind.
+func TestRefillInPlaceBehindInvalidWay(t *testing.T) {
+	c := New("l1", 1024, 2) // 16 sets: lines 0x0 and 0x200 share set 0
+	c.Fill(0x000, fill32(1), false)
+	c.Fill(0x200, fill32(2), false)
+	c.InvalidateLine(0x000) // way 0 now invalid, 0x200 resident in way 1
+	c.Fill(0x200, fill32(3), false)
+	if c.ValidLines() != 1 {
+		t.Fatalf("valid lines = %d, want 1", c.ValidLines())
+	}
+	c.InvalidateLine(0x200)
+	if c.Contains(0x200) {
+		t.Fatal("stale copy of 0x200 survived its invalidation")
+	}
+}
+
 func TestCL1INVMBDropsOnlyMPBTLines(t *testing.T) {
 	c := New("l1", 1024, 2)
 	c.Fill(0x100, fill32(1), true)  // MPBT (shared SVM data)
@@ -186,15 +205,38 @@ func TestCrossLineAccessPanics(t *testing.T) {
 
 // Property: after filling a line with known bytes, loads of any in-line
 // subrange return exactly those bytes.
+// TestFillLoadProperty fills random lines (evicting through the 4-way sets)
+// and reads them back. After every fill and every invalidation it also
+// checks the way hint: find, and so Contains, must return exactly the line
+// a linear scan of the set finds, for every line address the test uses.
 func TestFillLoadProperty(t *testing.T) {
 	c := New("l1", 2048, 4)
-	f := func(lineSel uint8, off0, n0 uint8, pattern byte) bool {
+	hintAgrees := func() bool {
+		for sel := 0; sel < 256; sel++ {
+			paddr := uint32(sel) * LineSize
+			var want *line
+			set := c.set(paddr)
+			for i := range set {
+				if set[i].valid && set[i].tag == paddr {
+					want = &set[i]
+				}
+			}
+			if c.find(paddr) != want || c.Contains(paddr) != (want != nil) {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(lineSel uint8, off0, n0 uint8, pattern byte, mpbt bool, invalSel uint8) bool {
 		base := uint32(lineSel) * LineSize
 		data := make([]byte, LineSize)
 		for i := range data {
 			data[i] = pattern ^ byte(i)
 		}
-		c.Fill(base, data, false)
+		c.Fill(base, data, mpbt)
+		if !hintAgrees() {
+			return false
+		}
 		off := int(off0) % LineSize
 		n := 1 + int(n0)%(LineSize-off)
 		got := make([]byte, n)
@@ -206,9 +248,14 @@ func TestFillLoadProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		if invalSel%8 == 0 {
+			c.InvalidateMPBT()
+		} else {
+			c.InvalidateLine(uint32(invalSel) * LineSize)
+		}
+		return hintAgrees()
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }

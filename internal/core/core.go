@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"metalsvm/internal/cpu"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/kernel"
 	"metalsvm/internal/mailbox"
@@ -62,13 +61,6 @@ type Options struct {
 	// recovery protocols and the progress watchdog. Nil reproduces plain
 	// runs bit for bit.
 	Faults *faults.Config
-	// IntraParallel, when > 1, runs this machine's single simulation on
-	// that many host workers using the engine's conservative-PDES wave
-	// dispatch. Results — simulated timestamps, traces, checksums — are
-	// bit-identical to serial dispatch; only host wall-clock changes. Zero
-	// adopts the process default (fastpath.SetIntraWorkers, set by
-	// sccbench's -intra flag); 1 forces serial dispatch.
-	IntraParallel int
 	// ReplicatedDirectory, when non-nil, replaces the SVM system's
 	// single-copy ownership directory with the crash-fault-tolerant
 	// replicated one: Members become the SVM worker set and the manager
@@ -258,11 +250,6 @@ func NewMachine(opts Options) (*Machine, error) {
 	m.obs = Observe(opts.Observe, chip, []*kernel.Cluster{cl}, []*svm.System{sys})
 	m.obs.AddDirectory(m.Dir)
 	m.Race = m.obs.Race()
-	intra := opts.IntraParallel
-	if intra == 0 {
-		intra = fastpath.IntraWorkers()
-	}
-	WireIntra(eng, chip, intra)
 	return m, nil
 }
 
@@ -446,7 +433,6 @@ func NewBaseline(chipCfg *scc.Config, cores []int) (*Baseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	WireIntra(eng, chip, fastpath.IntraWorkers())
 	return &Baseline{Engine: eng, Chip: chip, Comm: comm}, nil
 }
 

@@ -19,10 +19,10 @@ import (
 type Domains struct {
 	Engine *sim.Engine
 	Chip   *scc.Chip
-	// Race is the chip-wide happens-before checker, non-nil after
-	// EnableRaceCheck. One checker covers all domains: their core sets and
-	// page ranges are disjoint, so cross-domain conflicts cannot arise, and
-	// sync objects are keyed per cluster/system.
+	// Race is the chip-wide happens-before checker, non-nil after Observe
+	// with Instrumentation.Race set. One checker covers all domains: their
+	// core sets and page ranges are disjoint, so cross-domain conflicts
+	// cannot arise, and sync objects are keyed per cluster/system.
 	Race *racecheck.Checker
 
 	clusters []*kernel.Cluster
@@ -52,21 +52,6 @@ func (ds *Domains) Observe(cfg Instrumentation) *Observation {
 // Observability returns the domains' observation (nil when Observe was not
 // called or requested nothing).
 func (ds *Domains) Observability() *Observation { return ds.obs }
-
-// EnableRaceCheck attaches a happens-before race checker covering every
-// domain. It must be called before Run; the checker is also returned.
-//
-// Deprecated: use Observe(Instrumentation{Race: &cfg}) instead.
-func (ds *Domains) EnableRaceCheck(cfg racecheck.Config) *racecheck.Checker {
-	if ds.started {
-		panic("core: EnableRaceCheck after Run")
-	}
-	if ds.Race != nil {
-		return ds.Race
-	}
-	ds.Race = wireRaceChecker(cfg, ds.Chip, ds.clusters, ds.systems)
-	return ds.Race
-}
 
 // DomainSpec describes one coherency domain.
 type DomainSpec struct {

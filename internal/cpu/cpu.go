@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"metalsvm/internal/cache"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/profile"
 	"metalsvm/internal/sim"
@@ -156,9 +155,8 @@ type Core struct {
 	l2  *cache.Cache
 	wcb *cache.WCB
 
-	// tlb memoizes translations (nil when fast paths are disabled); see
-	// tlb.go for the invalidation contract.
-	tlb *tlb
+	// tlb memoizes translations; see tlb.go for the invalidation contract.
+	tlb tlb
 	// lineBuf is the scratch line for load fills and storeBuf the scratch
 	// for write-through transactions. Reusing them keeps the buffers off
 	// the heap: passing a stack array through the MemoryBus interface would
@@ -196,9 +194,6 @@ func New(id int, cfg Config, bus MemoryBus) *Core {
 		wcb:        cache.NewWCB(),
 		irqEnabled: true,
 	}
-	if fastpath.Enabled() {
-		c.tlb = new(tlb)
-	}
 	if cfg.L2Size > 0 {
 		c.l2 = cache.New(fmt.Sprintf("core%d.l2", id), cfg.L2Size, cfg.L2Ways)
 	}
@@ -213,14 +208,6 @@ func (c *Core) Bind(proc *sim.Proc) {
 	proc.SetQuantum(c.cfg.Quantum)
 	proc.SetSyncHook(c.deliverIRQs)
 	proc.SetPreWaitHook(c.deliverBeforeWait)
-	// Wave-parallel dispatch wiring: the core may only start a pure compute
-	// segment off the engine when resuming it would not deliver work — the
-	// exact complement of deliverIRQs' entry condition. Trace emissions
-	// route to the core's shard during waves.
-	proc.SetWaveReady(func() bool {
-		return c.inHandler || !c.irqEnabled || c.irqHandler == nil || c.pendingIRQ == 0
-	})
-	proc.SetWaveShard(c.id)
 }
 
 // deliverBeforeWait runs pending interrupt handlers instead of letting the
@@ -263,10 +250,6 @@ func (c *Core) SetIRQHandler(h IRQHandler) { c.irqHandler = h }
 
 // SetAccessHook installs the load/store observer; nil disables it.
 func (c *Core) SetAccessHook(h AccessHook) { c.accessHook = h }
-
-// AccessHook returns the installed load/store observer (nil when none).
-// Lets the intra-parallel wiring wrap an already-installed checker hook.
-func (c *Core) AccessHook() AccessHook { return c.accessHook }
 
 // SetProfiler installs the cycle-attribution profiler; nil disables it.
 // Like the access hook it charges no simulated time. When the memory bus
@@ -352,20 +335,16 @@ func (c *Core) FlushWCB() {
 // translate returns a usable entry for the access, invoking the fault
 // handler until the translation permits it.
 func (c *Core) translate(vaddr uint32, write bool) pgtable.Entry {
-	if c.tlb != nil {
-		if e, ok := c.tlb.lookup(c.Table, vaddr); ok &&
-			(!write || e.Flags.Has(pgtable.Writable)) {
-			c.stats.TLBHits++
-			return e
-		}
-		c.stats.TLBMisses++
+	if e, ok := c.tlb.lookup(c.Table, vaddr); ok &&
+		(!write || e.Flags.Has(pgtable.Writable)) {
+		c.stats.TLBHits++
+		return e
 	}
+	c.stats.TLBMisses++
 	for tries := 0; ; tries++ {
 		e, ok := c.Table.Lookup(vaddr)
 		if ok && e.Flags.Has(pgtable.Present) && (!write || e.Flags.Has(pgtable.Writable)) {
-			if c.tlb != nil {
-				c.tlb.insert(c.Table, vaddr, e)
-			}
+			c.tlb.insert(c.Table, vaddr, e)
 			return e
 		}
 		if c.faultHandler == nil {

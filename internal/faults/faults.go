@@ -284,11 +284,11 @@ func (s Stats) PerRoute() map[string]RouteStats {
 // Two stream families coexist. Protocol-level faults (TAS, Mail, IPI drops,
 // duplicates, corruption) draw from one global stream: they fire from
 // globally ordered effect contexts, so their draw order is the serial event
-// order and stays bit-identical whether or not the engine runs waves. The
-// compute-path faults — DDR delay, MPB delay, transient stalls — fire from
-// inside a core's compute segments, which wave dispatch runs concurrently;
-// they draw from per-core streams (see BindCores) so each core's sequence
-// depends only on its own operation order, never on cross-core interleaving.
+// order. The compute-path faults — DDR delay, MPB delay, transient stalls —
+// fire from inside a core's compute segments, which run ahead of the engine
+// clock; they draw from per-core streams (see BindCores) so each core's
+// sequence depends only on its own operation order, never on cross-core
+// interleaving.
 type Injector struct {
 	cfg   Config
 	state uint64
@@ -297,7 +297,7 @@ type Injector struct {
 }
 
 // coreStream is one core's private fault stream plus its stats shard. Only
-// that core's process touches it, so wave-concurrent segments never race.
+// that core's process touches it.
 type coreStream struct {
 	state     uint64
 	decisions uint64
@@ -414,8 +414,7 @@ func (cs *coreStream) roll(permille uint32) bool {
 
 // DelayCyclesOn is DelayCycles drawn from the given core's private stream.
 // Compute-path call sites (DDR and MPB latency models) use it so the draw
-// sequence is a function of the core's own operation order only — the
-// property that keeps wave-parallel dispatch bit-identical to serial.
+// sequence is a function of the core's own operation order only.
 // Requires BindCores; nil-safe.
 func (in *Injector) DelayCyclesOn(core int, r Route) uint64 {
 	if in == nil {

@@ -50,8 +50,7 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration. A zero PSPerByte (infinite bandwidth)
 // is allowed; a zero LatencyPS is not, because a free crossing would let
-// cross-chip influences outrun the conservative lookahead floor the
-// intra-run parallel engine derives from the local mesh.
+// cross-chip influences arrive faster than the local mesh delivers them.
 func Validate(cfg Config) error {
 	if cfg.LatencyPS == 0 {
 		return fmt.Errorf("interchip: zero link latency (cross-chip influences must be slower than the local mesh)")
@@ -60,8 +59,7 @@ func Validate(cfg Config) error {
 }
 
 // Fabric answers latency questions for a fixed link configuration. It is
-// stateless and safe for concurrent use from wave-parallel compute
-// segments.
+// stateless.
 type Fabric struct {
 	cfg Config
 }

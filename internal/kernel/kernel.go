@@ -586,7 +586,7 @@ func (k *Kernel) WaitFor(cond func() bool) {
 			// event re-fires the signal and the loop rescans. Spurious
 			// wake-ups are absorbed by the cond/seq check.
 			at := k.core.Proc().LocalTime() + k.cluster.cfg.RescuePeriod
-			k.core.Proc().At(at, func() { sig.Fire(at) })
+			k.core.Proc().Engine().At(at, func() { sig.Fire(at) })
 		}
 		sig.WaitSeq(k.core.Proc(), seq)
 	}
@@ -630,7 +630,7 @@ func (k *Kernel) WaitUntil(cond func() bool, deadline sim.Time) bool {
 				at = t
 			}
 		}
-		k.core.Proc().At(at, func() { sig.Fire(at) })
+		k.core.Proc().Engine().At(at, func() { sig.Fire(at) })
 		sig.WaitSeq(k.core.Proc(), seq)
 	}
 	return true

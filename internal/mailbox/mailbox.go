@@ -400,7 +400,7 @@ func (s *System) sendHardened(from, to int, typ byte, payload []byte) {
 		// sender when mail lands in its slot, so the scan above must rerun
 		// on retransmission cadence.
 		at := core.Proc().LocalTime() + s.chip.Config().Core.Clock.Cycles(RetxTimeoutCoreCycles)
-		core.Proc().At(at, func() { s.freeSig[p].Fire(at) })
+		core.Proc().Engine().At(at, func() { s.freeSig[p].Fire(at) })
 		s.freeSig[p].Wait(core.Proc())
 	}
 	s.sendSeq[p]++
@@ -469,7 +469,7 @@ func (s *System) deposit(from, to, off int, line *[phys.CacheLine]byte) {
 		now := core.Proc().LocalTime()
 		tr.Emit(now, from, trace.KindFaultInject, uint64(faults.Mail), uint64(faults.Dup))
 		at := now + s.chip.Config().Core.Clock.Cycles(inj.DupDelayCycles())
-		core.Proc().At(at, func() {
+		core.Proc().Engine().At(at, func() {
 			// The stale copy lands only if the slot is free by then; the
 			// hardened receiver discards it by sequence number, the plain
 			// one consumes it as a fresh (wrong) mail.

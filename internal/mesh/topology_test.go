@@ -3,8 +3,6 @@ package mesh
 import (
 	"testing"
 	"testing/quick"
-
-	"metalsvm/internal/sim"
 )
 
 // gridMesh builds a w x h x c mesh with the paper's clocks — the shapes the
@@ -55,51 +53,8 @@ func TestHopsMetricPropertyOnGrids(t *testing.T) {
 	}
 }
 
-// LookaheadMatrix must agree with the hop geometry everywhere: symmetric,
-// zero exactly on same-tile pairs, equal to OneWay(hops) off-diagonal, and
-// row minima matching MinHopLatency.
-func TestLookaheadMatrixConsistencyOnGrids(t *testing.T) {
-	for name, m := range testGrids(t) {
-		mat := m.LookaheadMatrix()
-		n := m.Cores()
-		if len(mat) != n {
-			t.Fatalf("%s: matrix has %d rows, want %d", name, len(mat), n)
-		}
-		for a := 0; a < n; a++ {
-			min := sim.Duration(^uint64(0))
-			for b := 0; b < n; b++ {
-				if mat[a][b] != mat[b][a] {
-					t.Fatalf("%s: lookahead asymmetric at (%d,%d): %v vs %v",
-						name, a, b, mat[a][b], mat[b][a])
-				}
-				if want := m.OneWay(m.HopsCores(a, b)); a != b && mat[a][b] != want {
-					t.Fatalf("%s: lookahead[%d][%d] = %v, want OneWay(%d hops) = %v",
-						name, a, b, mat[a][b], m.HopsCores(a, b), want)
-				}
-				if a == b {
-					if mat[a][b] != 0 {
-						t.Fatalf("%s: nonzero self-lookahead at core %d", name, a)
-					}
-					continue
-				}
-				if (m.TileOfCore(a) == m.TileOfCore(b)) != (mat[a][b] == 0) {
-					t.Fatalf("%s: lookahead[%d][%d] = %v disagrees with tile sharing",
-						name, a, b, mat[a][b])
-				}
-				if mat[a][b] < min {
-					min = mat[a][b]
-				}
-			}
-			if n > 1 && m.MinHopLatency(a) != min {
-				t.Fatalf("%s: MinHopLatency(%d) = %v, want row minimum %v",
-					name, a, m.MinHopLatency(a), min)
-			}
-		}
-	}
-}
-
-// On a single-tile mesh every pair shares the tile: zero hops, zero
-// lookahead, and a CoreAtDistance sweep that stops at hop 0.
+// On a single-tile mesh every pair shares the tile: zero hops and a
+// CoreAtDistance sweep that stops at hop 0.
 func TestSingleTileMesh(t *testing.T) {
 	m := gridMesh(t, 1, 1, 2)
 	if m.MaxHops() != 0 {
@@ -107,9 +62,6 @@ func TestSingleTileMesh(t *testing.T) {
 	}
 	if m.HopsCores(0, 1) != 0 {
 		t.Fatalf("same-tile hops = %d, want 0", m.HopsCores(0, 1))
-	}
-	if m.MinHopLatency(0) != 0 {
-		t.Fatalf("same-tile lookahead = %v, want 0", m.MinHopLatency(0))
 	}
 	if peer := m.CoreAtDistance(0, 0); peer != 1 {
 		t.Fatalf("CoreAtDistance(0,0) = %d, want the tile sibling 1", peer)

@@ -10,24 +10,19 @@ package phys
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
 
 // Mem is the off-die DDR3 memory: a flat physical address space backed by
 // lazily allocated frames so that a simulated gigabyte costs host memory
 // only where it is touched.
 //
-// Frame pointers are atomic because the engine's wave-parallel dispatch
-// runs cores' pure compute segments — including their optimistic DDR data
-// path — concurrently. Distinct cores touch distinct frames (page
-// ownership is single-writer, and private regions don't overlap), so the
-// byte arrays themselves need no locking; only the lazy materialization of
-// a frame slot must not tear against a concurrent load of the same slot.
-// A lost CAS simply adopts the winner's (identical, all-zero) frame.
+// The frame index holds one pointer per frame, nil until first written: a
+// slice header per frame would triple the index, which spans every frame
+// of the address space, touched or not.
 type Mem struct {
 	size      uint64
 	frameSize uint32
-	frames    []atomic.Pointer[[]byte]
+	frames    []*[]byte
 }
 
 // NewMem creates a memory of the given size with the given frame size.
@@ -39,30 +34,27 @@ func NewMem(size uint64, frameSize uint32) *Mem {
 	return &Mem{
 		size:      size,
 		frameSize: frameSize,
-		frames:    make([]atomic.Pointer[[]byte], size/uint64(frameSize)),
+		frames:    make([]*[]byte, size/uint64(frameSize)),
 	}
 }
 
 // frame returns the backing bytes of frame pfn, or nil if unmaterialized.
 func (m *Mem) frame(pfn uint32) []byte {
-	if p := m.frames[pfn].Load(); p != nil {
+	if p := m.frames[pfn]; p != nil {
 		return *p
 	}
 	return nil
 }
 
 // materialize returns frame pfn's backing bytes, allocating them (zeroed)
-// if absent. Concurrent materializations of the same frame race benignly:
-// the CAS loser discards its allocation and adopts the winner's.
+// if absent.
 func (m *Mem) materialize(pfn uint32) []byte {
-	if p := m.frames[pfn].Load(); p != nil {
+	if p := m.frames[pfn]; p != nil {
 		return *p
 	}
 	f := make([]byte, m.frameSize)
-	if m.frames[pfn].CompareAndSwap(nil, &f) {
-		return f
-	}
-	return *m.frames[pfn].Load()
+	m.frames[pfn] = &f
+	return f
 }
 
 // Size returns the physical address space size in bytes.
@@ -164,7 +156,7 @@ func (m *Mem) ZeroFrame(pfn uint32) {
 func (m *Mem) BackedFrames() int {
 	n := 0
 	for i := range m.frames {
-		if m.frames[i].Load() != nil {
+		if m.frames[i] != nil {
 			n++
 		}
 	}

@@ -168,7 +168,7 @@ func TestDomainsRaceFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := ds.EnableRaceCheck(racecheck.Config{})
+	k := ds.Observe(core.Instrumentation{Race: &racecheck.Config{}}).Race()
 	first := []int{0, 24}
 	ds.RunAll(func(domain int, env *core.Env) {
 		base := env.SVM.Alloc(4096)
@@ -184,7 +184,7 @@ func TestDomainsRaceFree(t *testing.T) {
 		t.Fatalf("domain traffic flagged:\n%v", k.Races())
 	}
 	if k != ds.Race {
-		t.Fatal("EnableRaceCheck did not publish the checker")
+		t.Fatal("Observe did not publish the checker on ds.Race")
 	}
 }
 

@@ -52,8 +52,7 @@ type Comm struct {
 	barrierCount []uint8
 
 	// stats is sharded by rank: each rank's core increments only its own
-	// slot, so counting stays race-free when the engine runs ranks
-	// concurrently inside a wave. Stats() sums the shards.
+	// slot. Stats() sums the shards.
 	stats []Stats
 }
 

@@ -188,10 +188,9 @@ type Chip struct {
 	crashed []bool
 
 	// meshStats is sharded per core: the latency models mutate it from
-	// compute context (cache fetches, write-backs), which wave-parallel
-	// dispatch runs concurrently across cores. Each core's model only ever
-	// touches its own shard; engine-context paths (retransmission timers)
-	// charge the originating core's shard. MeshStats() sums them.
+	// compute context (cache fetches, write-backs), and each core's model
+	// only ever touches its own shard; engine-context paths (retransmission
+	// timers) charge the originating core's shard. MeshStats() sums them.
 	meshStats []MeshStats
 }
 
@@ -265,7 +264,7 @@ func (ch *Chip) SetFaultInjector(in *faults.Injector, harden bool) {
 	ch.harden = in != nil && harden
 	// The compute-path fault classes (DDR/MPB delay, stalls) draw from
 	// per-core streams so their sequences do not depend on cross-core
-	// interleaving — the property wave-parallel dispatch relies on.
+	// interleaving.
 	in.BindCores(len(ch.cores))
 }
 
@@ -450,7 +449,6 @@ func (ch *Chip) Boot(id int, body func(*cpu.Core)) *cpu.Core {
 	proc := ch.eng.NewProc(fmt.Sprintf("core%d", id), 0, func(p *sim.Proc) {
 		body(c)
 	})
-	proc.SetWaveLookahead(ch.WaveLookahead(id))
 	c.Bind(proc)
 	base := ch.layout.PrivateBase(id)
 	for off := uint32(0); off < ch.cfg.PrivateMemPerCore; off += pgtable.PageSize {
@@ -458,27 +456,6 @@ func (ch *Chip) Boot(id int, body func(*cpu.Core)) *cpu.Core {
 			pgtable.Present|pgtable.Writable|pgtable.WriteThrough)
 	}
 	return c
-}
-
-// WaveLookahead returns core id's conservative-PDES influence floor: the
-// minimum simulated delay between any other core initiating a cross-core
-// influence and that influence becoming observable at this core. On this
-// chip the cheapest influence is an IPI — mail deposits and shared-memory
-// stores only matter once the receiver is nudged or polls (polling parks
-// on its own sync points, which the wave horizon already bounds) — so the
-// floor is the sender's raise cost (with the sender, worst case, sitting
-// right at the GIC tile: zero raise hops), GIC processing, and one flit
-// from the GIC to this core's tile. The raise and GIC terms are fixed
-// costs that apply even at zero hops, so the floor is positive and the
-// engine can run this core's pure segments ahead of its peers' next wake
-// by at least this much. The formula needs no multi-chip term: an
-// influence from another chip pays the same raise and GIC costs plus a
-// link crossing, which Validate requires to be strictly positive, so the
-// single-chip floor remains a conservative lower bound.
-func (ch *Chip) WaveLookahead(core int) sim.Duration {
-	return ch.coreClock().Cycles(ch.cfg.Lat.IPIRaiseCoreCycles) +
-		ch.cfg.Mesh.Clock.Cycles(ch.cfg.Lat.GICCycles) +
-		ch.mesh.OneWay(ch.gicHops(core))
 }
 
 // --- Memory bus (cpu.MemoryBus): optimistic data path --------------------

@@ -64,69 +64,6 @@ type Proc struct {
 	// procDone the goroutine may still exist, parked; Engine.Shutdown
 	// unwinds it like any other parked proc.
 	halted bool
-
-	// base is the engine time of the proc's current dispatch: the value the
-	// engine clock had (or, under wave dispatch, would have had serially)
-	// when the proc last resumed. All lookahead comparisons (Advance's
-	// quantum bound, Sync's already-in-step check) measure against base so
-	// pure segments never read the live engine clock — under serial dispatch
-	// base always equals Engine.now at resume, making the two modes
-	// behaviorally identical.
-	base Time
-
-	// Wave-dispatch wiring (see pdes.go). shard is the observer shard this
-	// proc's trace emissions route to (-1: none); lookahead is the per-proc
-	// influence floor — the minimum simulated delay before any other
-	// process's effect can reach this proc (zero keeps the conservative
-	// default of no cross-member overlap); waveReady reports whether the
-	// proc can start a pure segment without the engine (no deliverable
-	// interrupt pending).
-	shard     int
-	lookahead Duration
-	waveReady func() bool
-
-	// Per-wave state, valid only while the wave runner drives the proc and
-	// until its recorded acts have been replayed (see pdes.go).
-	waveMode      bool
-	waveLimit     Time
-	waveWakeAt    Time
-	waveWakeSeq   uint64
-	waveStartMark int
-	waveActs      []waveAct
-	waveActIdx    int
-	wavePrevMark  int
-}
-
-// waveActKind classifies one recorded action of a wave segment train.
-type waveActKind uint8
-
-const (
-	// actSkip: a quantum park the proc ran through without engine
-	// interaction because the park time was below its wave horizon.
-	actSkip waveActKind = iota
-	// actAt: a Proc.At event request made from inside a segment.
-	actAt
-	// actParkPure / actParkEffect: the train's terminating park (quantum
-	// park at/past the horizon, or an effect Sync).
-	actParkPure
-	actParkEffect
-	// actWait / actDone: the train ended in an indefinite Wait or the body
-	// returned; no wake event exists.
-	actWait
-	actDone
-	// actResume: an effect Sync that was already in step (local == base, no
-	// wake event in serial dispatch either) ended the train; the replay
-	// resumes the proc inline at the same (time, seq) position, consuming
-	// no sequence number.
-	actResume
-)
-
-// waveAct is one recorded action; the merge replays them in serial order.
-type waveAct struct {
-	kind waveActKind
-	at   Time
-	mark int // observer shard position at this boundary
-	fn   func()
 }
 
 // NewProc creates a process that will start executing body at time start.
@@ -135,8 +72,6 @@ func (e *Engine) NewProc(name string, start Time, body func(*Proc)) *Proc {
 		eng:    e,
 		name:   name,
 		local:  start,
-		base:   start,
-		shard:  -1,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 		body:   body,
@@ -174,22 +109,6 @@ func (p *Proc) SetSyncHook(fn func()) { p.syncHook = fn }
 // SetPreWaitHook registers fn to run before every indefinite park; see the
 // preWaitHook field.
 func (p *Proc) SetPreWaitHook(fn func() bool) { p.preWaitHook = fn }
-
-// SetWaveReady registers the predicate that gates this proc's participation
-// in wave-parallel dispatch: it must report true only when resuming the proc
-// for a pure compute segment requires no engine-side work (the CPU model
-// returns false while an unmasked interrupt is deliverable).
-func (p *Proc) SetWaveReady(fn func() bool) { p.waveReady = fn }
-
-// SetWaveShard routes this proc's observer emissions to shard i during
-// waves; -1 (the default) opts out of shard bookkeeping.
-func (p *Proc) SetWaveShard(i int) { p.shard = i }
-
-// SetWaveLookahead sets the proc's influence floor: the minimum simulated
-// delay before any other process's action can affect this proc. Under wave
-// dispatch the proc may run that far past another wave member's resume
-// point. Zero (the default) is always safe.
-func (p *Proc) SetWaveLookahead(d Duration) { p.lookahead = d }
 
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == procDone }
@@ -258,13 +177,6 @@ func (p *Proc) park(s procState) {
 	if _, ok := <-p.resume; !ok {
 		panic(shutdownError{})
 	}
-	if p.waveMode {
-		// Wave resume: the engine clock is parked at the wave start, but
-		// serially this proc would have resumed with the clock at its wake.
-		p.base = p.waveWakeAt
-	} else {
-		p.base = p.eng.now
-	}
 	if p.eng.now > p.local {
 		p.local = p.eng.now
 	}
@@ -277,34 +189,16 @@ func (p *Proc) park(s procState) {
 // lookahead bound is exceeded, in which case it syncs.
 func (p *Proc) Advance(d Duration) {
 	p.local += d
-	if p.quantum != 0 && p.local > p.base && p.local-p.base > p.quantum {
-		p.syncPark(true)
+	if p.quantum != 0 && p.local > p.eng.now && p.local-p.eng.now > p.quantum {
+		p.Sync()
 	}
 }
 
 // Sync parks the process until the engine clock reaches the local clock.
 // After Sync returns, engine time equals local time and any effects the
 // process applies are totally ordered against all other synced effects.
-func (p *Proc) Sync() { p.syncPark(false) }
-
-// syncPark implements Sync. quantum marks parks triggered by Advance's
-// lookahead bound — "pure" parks with no effect pending, which wave
-// dispatch may run through (skip) or overlap with other procs.
-func (p *Proc) syncPark(quantum bool) {
-	if p.local <= p.base {
-		if p.waveMode && !quantum {
-			// Effect sync already in step (for example right after a skipped
-			// quantum park at the same timestamp). Serially the effects that
-			// follow would apply inline here, but inside a wave they must not
-			// run concurrently: end the train and let the replay resume the
-			// proc at this exact (time, seq) position. Serial consumed no
-			// sequence number for the no-op and neither does the replay.
-			p.waveActs = append(p.waveActs, waveAct{kind: actResume, at: p.local, mark: p.waveMark()})
-			p.park(procParked)
-			// Resumed serially by the replay: engine clock == local, and
-			// park already ran the sync hook — exactly the no-op contract.
-			return
-		}
+func (p *Proc) Sync() {
+	if p.local <= p.eng.now {
 		// Already in step; still give the hook a chance so interrupt
 		// delivery cannot be starved by a proc that never runs ahead.
 		if p.syncHook != nil {
@@ -312,57 +206,8 @@ func (p *Proc) syncPark(quantum bool) {
 		}
 		return
 	}
-	if p.waveMode {
-		if quantum && p.local < p.waveLimit {
-			// Below the horizon no other process can have influenced this
-			// one yet: run through the park. The merge will consume the
-			// sequence number the serial wake event would have used.
-			p.waveActs = append(p.waveActs, waveAct{kind: actSkip, at: p.local, mark: p.waveMark()})
-			p.base = p.local
-			if p.syncHook != nil {
-				p.syncHook()
-			}
-			return
-		}
-		kind := actParkEffect
-		if quantum {
-			kind = actParkPure
-		}
-		p.waveActs = append(p.waveActs, waveAct{kind: kind, at: p.local, mark: p.waveMark()})
-		p.park(procParked)
-		return
-	}
-	at := p.local
-	seq := p.wakeSeq + 1 // park below increments to this value
-	p.eng.scheduleSync(at, p, seq, quantum)
+	p.eng.scheduleSync(p.local, p, p.wakeSeq+1) // park below increments to this value
 	p.park(procParked)
-}
-
-// waveMark snapshots the proc's observer-shard position at a segment
-// boundary so the merge can flush emissions in serial order.
-func (p *Proc) waveMark() int {
-	if obs := p.eng.intra.obs; obs != nil && p.shard >= 0 {
-		return obs.SegmentMark(p.shard)
-	}
-	return 0
-}
-
-// At schedules fn at absolute time t from process context. In serial mode
-// this is Engine.At; during a wave segment the request is buffered and
-// replayed at the merge with the sequence number the serial engine would
-// have assigned. Proc-context code that can run inside pure segments (for
-// example deadline parks) must use this instead of Engine.At — the engine
-// asserts as much.
-func (p *Proc) At(t Time, fn func()) {
-	if p.waveMode {
-		if t < p.base {
-			panic(fmt.Sprintf("sim: event scheduled at %d before now %d by proc %s",
-				t, p.base, p.name))
-		}
-		p.waveActs = append(p.waveActs, waveAct{kind: actAt, at: t, fn: fn})
-		return
-	}
-	p.eng.At(t, fn)
 }
 
 // Wait parks the process indefinitely; some other entity must Wake it.
@@ -372,9 +217,6 @@ func (p *Proc) At(t Time, fn func()) {
 func (p *Proc) Wait() {
 	if p.preWaitHook != nil && p.preWaitHook() {
 		return
-	}
-	if p.waveMode {
-		p.waveActs = append(p.waveActs, waveAct{kind: actWait, at: p.local, mark: p.waveMark()})
 	}
 	p.park(procWaiting)
 }
@@ -387,16 +229,8 @@ func (p *Proc) Wake(at Time) {
 		at = p.eng.now
 	}
 	seq := p.wakeSeq
-	// Under wave dispatch the goroutine may already sit in its train's
-	// terminal Wait — with its final wakeSeq — while the engine is still
-	// replaying earlier segments of the train. At this engine position the
-	// serial proc would be mid-train: a wake captured now would hold a
-	// pre-final wakeSeq and could never match once the proc really waits.
-	// Reproduce that by poisoning the capture (the event is still scheduled,
-	// so it consumes the same sequence number serial dispatch would).
-	stale := p.waveActIdx < len(p.waveActs)
 	p.eng.At(at, func() {
-		if !stale && p.wakeSeq == seq && p.state == procWaiting {
+		if p.wakeSeq == seq && p.state == procWaiting {
 			p.dispatch()
 		}
 	})

@@ -6,16 +6,15 @@ import (
 	"testing"
 )
 
-// TestQueueEquivalence drives quadQueue and refQueue with identical
-// randomized push/pop workloads (fixed seed: the test itself is
-// deterministic) and checks both against a sorted-slice oracle. The engine
-// clock follows the dispatch rule — it advances to every popped event's
-// timestamp — so the quadQueue's now-FIFO path is exercised heavily.
+// TestQueueEquivalence drives quadQueue with randomized push/pop workloads
+// (fixed seed: the test itself is deterministic) and checks it against a
+// sorted-slice oracle. The engine clock follows the dispatch rule — it
+// advances to every popped event's timestamp — so the now-FIFO path is
+// exercised heavily.
 func TestQueueEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		var fast quadQueue
-		var ref refQueue
+		var q quadQueue
 		var oracle []event
 		var now Time
 		var seq uint64
@@ -23,27 +22,25 @@ func TestQueueEquivalence(t *testing.T) {
 		push := func(at Time) {
 			seq++
 			ev := event{at: at, seq: seq}
-			fast.push(ev, now)
-			ref.push(ev)
+			q.push(ev, now)
 			oracle = append(oracle, ev)
 		}
 		pop := func() {
 			sort.Slice(oracle, func(i, j int) bool { return eventLess(oracle[i], oracle[j]) })
 			want := oracle[0]
 			oracle = oracle[1:]
-			fh, okF := fast.head()
-			rh, okR := ref.head()
-			if !okF || !okR || !sameEvent(fh, want) || !sameEvent(rh, want) {
-				t.Fatalf("trial %d: head fast=%v(%v) ref=%v(%v), want %v", trial, fh, okF, rh, okR, want)
+			h, ok := q.head()
+			if !ok || !sameEvent(h, want) {
+				t.Fatalf("trial %d: head=%v(%v), want %v", trial, h, ok, want)
 			}
-			fp, rp := fast.pop(), ref.pop()
-			if !sameEvent(fp, want) || !sameEvent(rp, want) {
-				t.Fatalf("trial %d: pop fast=%v ref=%v, want %v", trial, fp, rp, want)
+			got := q.pop()
+			if !sameEvent(got, want) {
+				t.Fatalf("trial %d: pop=%v, want %v", trial, got, want)
 			}
-			if fp.at < now {
-				t.Fatalf("trial %d: time went backwards: %d < %d", trial, fp.at, now)
+			if got.at < now {
+				t.Fatalf("trial %d: time went backwards: %d < %d", trial, got.at, now)
 			}
-			now = fp.at
+			now = got.at
 		}
 
 		for op := 0; op < 400; op++ {
@@ -61,8 +58,8 @@ func TestQueueEquivalence(t *testing.T) {
 		for len(oracle) > 0 {
 			pop()
 		}
-		if fast.len() != 0 || ref.len() != 0 {
-			t.Fatalf("trial %d: queues not drained: fast=%d ref=%d", trial, fast.len(), ref.len())
+		if q.len() != 0 {
+			t.Fatalf("trial %d: queue not drained: %d", trial, q.len())
 		}
 	}
 }
@@ -113,7 +110,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.After(Duration(i%7), nop)
-				ev := e.qPop()
+				ev := e.queue.pop()
 				e.now = ev.at
 			}
 		})
@@ -127,7 +124,7 @@ func BenchmarkEngineScheduleAtNow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(0, nop)
-		e.qPop()
+		e.queue.pop()
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -429,5 +430,93 @@ func TestHeapOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetQuantumMidAdvance changes the quantum between Advance calls; the
+// new bound must take effect for the very next Advance.
+func TestSetQuantumMidAdvance(t *testing.T) {
+	e := NewEngine()
+	var syncs []Time
+	e.NewProc("p", 0, func(p *Proc) {
+		p.SetQuantum(100)
+		p.Advance(150) // exceeds 100: parks at 150
+		p.SetQuantum(1000)
+		p.Advance(900) // lookahead 900 <= 1000: no park
+		if e.Now() != 150 {
+			syncs = append(syncs, ^Time(0))
+		}
+		p.Advance(200) // lookahead 1100 > 1000: parks at 1250
+		p.SetQuantum(50)
+		p.Advance(60) // new tight bound: parks at 1310
+		p.Sync()
+	})
+	e.Run()
+	if len(syncs) != 0 {
+		t.Fatal("quantum 1000 did not suppress the park")
+	}
+	if e.Now() != 1310 {
+		t.Fatalf("final clock %d, want 1310", e.Now())
+	}
+}
+
+// TestQuantumExactlyEqualToStep: a quantum exactly equal to the advance
+// step must not park (the bound is strict: lookahead > quantum), and two
+// steps must.
+func TestQuantumExactlyEqualToStep(t *testing.T) {
+	e := NewEngine()
+	parks := 0
+	e.NewProc("p", 0, func(p *Proc) {
+		p.SetSyncHook(func() { parks++ })
+		p.SetQuantum(100)
+		p.Advance(100) // lookahead == quantum: stays local
+		if e.Now() != 0 {
+			t.Errorf("engine advanced to %d on an exactly-quantum step", e.Now())
+		}
+		p.Advance(100) // lookahead 200 > 100: parks at 200
+		if e.Now() != 200 {
+			t.Errorf("engine at %d after second step, want 200", e.Now())
+		}
+	})
+	e.Run()
+	if parks != 1 {
+		t.Fatalf("parks = %d, want exactly 1", parks)
+	}
+}
+
+// TestZeroQuantumUnbounded: zero quantum means unbounded lookahead — the
+// proc must never park on Advance no matter how far it runs ahead, while a
+// bounded sibling interleaves normally.
+func TestZeroQuantumUnbounded(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.NewProc("free", 0, func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.Advance(1000)
+		}
+		if e.Now() != 0 {
+			t.Errorf("unbounded proc advanced the engine to %d", e.Now())
+		}
+		p.Sync()
+		order = append(order, fmt.Sprintf("free@%d", e.Now()))
+	})
+	e.NewProc("tight", 0, func(p *Proc) {
+		p.SetQuantum(10)
+		for i := 0; i < 5; i++ {
+			p.Advance(100)
+			order = append(order, fmt.Sprintf("tight@%d", p.LocalTime()))
+		}
+	})
+	e.Run()
+	// tight parks at 100..500 and records after each park; free syncs at
+	// 1000000 last.
+	want := []string{"tight@100", "tight@200", "tight@300", "tight@400", "tight@500", "free@1000000"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v", order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
 	}
 }

@@ -22,7 +22,6 @@ package metalsvm
 
 import (
 	"metalsvm/internal/core"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/metrics"
 	"metalsvm/internal/profile"
@@ -40,15 +39,9 @@ import (
 type Machine = core.Machine
 
 // Options configures a machine; zero values select the paper's platform.
-// Options.IntraParallel > 1 runs the machine's single simulation on that
-// many host workers (conservative-PDES wave dispatch) with bit-identical
-// simulated results; SetIntraWorkers sets the process-wide default.
+// Each machine is one deterministic serial simulation: the same Options
+// always produce bit-identical simulated results.
 type Options = core.Options
-
-// SetIntraWorkers sets the process default for intra-run parallel dispatch,
-// applied to machines whose Options.IntraParallel is zero (0 or 1: serial).
-// Simulated results are bit-identical at any worker count.
-func SetIntraWorkers(n int) { fastpath.SetIntraWorkers(n) }
 
 // Env is what a workload function receives on each simulated core.
 type Env = core.Env
