@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"metalsvm/internal/bench"
+	"metalsvm/internal/core"
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/svm"
 )
@@ -20,7 +21,7 @@ import (
 func benchmarkPingDistance(b *testing.B, hops int) {
 	var last []bench.Fig6Point
 	for i := 0; i < b.N; i++ {
-		last = bench.Fig6(50)
+		last = bench.Fig6(50, nil)
 	}
 	for _, p := range last {
 		if p.Hops == hops {
@@ -39,7 +40,7 @@ func BenchmarkFig6PingPongHops8(b *testing.B) { benchmarkPingDistance(b, 8) }
 func benchmarkFig7(b *testing.B, cores int) {
 	var last []bench.Fig7Point
 	for i := 0; i < b.N; i++ {
-		last = bench.Fig7(50, []int{cores})
+		last = bench.Fig7(50, []int{cores}, nil)
 	}
 	p := last[0]
 	b.ReportMetric(p.PollingUS, "polling_us")
@@ -56,7 +57,7 @@ func BenchmarkFig7ActiveCores48(b *testing.B) { benchmarkFig7(b, 48) }
 func BenchmarkTable1Strong(b *testing.B) {
 	var r bench.Table1Result
 	for i := 0; i < b.N; i++ {
-		r = bench.Table1(svm.Strong)
+		r = bench.Table1(svm.Strong, core.Options{}).Table1
 	}
 	b.ReportMetric(r.AllocUS, "alloc4MiB_us")
 	b.ReportMetric(r.PhysAllocUS, "physalloc_us")
@@ -67,7 +68,7 @@ func BenchmarkTable1Strong(b *testing.B) {
 func BenchmarkTable1Lazy(b *testing.B) {
 	var r bench.Table1Result
 	for i := 0; i < b.N; i++ {
-		r = bench.Table1(svm.LazyRelease)
+		r = bench.Table1(svm.LazyRelease, core.Options{}).Table1
 	}
 	b.ReportMetric(r.AllocUS, "alloc4MiB_us")
 	b.ReportMetric(r.PhysAllocUS, "physalloc_us")
@@ -82,15 +83,16 @@ const benchIters = 5
 
 func benchmarkLaplace(b *testing.B, variant string, cores int) {
 	cfg := bench.PaperFig9(benchIters)
+	opts := core.Options{Topology: &cfg.Chip, Members: core.FirstN(cores)}
 	var us float64
 	for i := 0; i < b.N; i++ {
 		switch variant {
 		case "ircce":
 			us = bench.Fig9RunBaseline(cfg, cores)
 		case "strong":
-			us = bench.Fig9RunSVM(cfg, svm.Strong, cores)
+			us = bench.Laplace(cfg.Params, svm.Strong, opts).US
 		case "lazy":
-			us = bench.Fig9RunSVM(cfg, svm.LazyRelease, cores)
+			us = bench.Laplace(cfg.Params, svm.LazyRelease, opts).US
 		}
 	}
 	b.ReportMetric(us, "simulated_us")
@@ -157,7 +159,7 @@ func BenchmarkAblationNextTouch(b *testing.B) {
 func BenchmarkAblationMailboxIPI(b *testing.B) {
 	var pts []bench.Fig7Point
 	for i := 0; i < b.N; i++ {
-		pts = bench.Fig7(50, []int{48})
+		pts = bench.Fig7(50, []int{48}, nil)
 	}
 	b.ReportMetric(pts[0].PollingUS, "polling48_us")
 	b.ReportMetric(pts[0].IPIUS, "ipi48_us")

@@ -30,12 +30,12 @@ type benchExperiment struct {
 
 func benchExperiments() []benchExperiment {
 	const fig6Rounds = 50
-	fig9Cfg := bench.QuickFig9(3)
+	fig9Cfg := bench.PaperFig9(3)
 	fig9Cfg.CoreCounts = []int{4, 8}
 	return []benchExperiment{
 		{
 			name: "fig6",
-			run:  func() any { return bench.Fig6(fig6Rounds) },
+			run:  func() any { return bench.Fig6(fig6Rounds, nil) },
 			simUS: func(v any) float64 {
 				us := 0.0
 				for _, p := range v.([]bench.Fig6Point) {

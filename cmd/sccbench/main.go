@@ -1,16 +1,9 @@
 // Command sccbench regenerates the tables and figures of the paper's
 // evaluation (Section 7) on the simulated SCC platform, plus the ablation
-// studies DESIGN.md calls out.
-//
-// Usage:
-//
-//	sccbench fig6            mail latency vs mesh distance (Figure 6)
-//	sccbench fig7            mail latency vs activated cores (Figure 7)
-//	sccbench table1          SVM overheads (Table 1)
-//	sccbench fig9            Laplace runtimes (Figure 9)
-//	sccbench scale           Laplace + task farm completion on every core
-//	sccbench ablation        WCB / scratchpad / read-only-L2 studies
-//	sccbench all             everything above
+// studies DESIGN.md calls out. `sccbench -h` lists the commands (fig6,
+// fig7, table1, fig9, scale, ablation, comm, kvstore; `all` runs every one
+// but kvstore) and the cells of each mode; the text is generated from the
+// command table below and the cell table in cells.go.
 //
 // Flags tune the measurement sizes; the defaults give the paper's shapes
 // in well under a coffee break. All times are simulated (533 MHz cores,
@@ -19,8 +12,13 @@
 // -chips and -grid select a different machine through the validated
 // topology API: -grid WxHxC reshapes each chip's tile grid and -chips N
 // couples N such chips over the inter-chip link. The topology-aware
-// harnesses (fig6, fig7, fig9, scale, -check, -chaos) then run on that
-// machine — e.g. `sccbench -chips 4 -grid 8x8x2 scale` boots 512 cores.
+// harnesses (fig6, fig7, fig9, scale, kvstore, and the topology-aware
+// cells of -check, -sanitize and -chaos) then run on that machine — e.g.
+// `sccbench -chips 4 -grid 8x8x2 scale` boots 512 cores.
+//
+// -check, -sanitize, -chaos and -metrics/-profile/-perfetto each run the
+// cells of one table (cells.go) under their own modifiers: the race
+// checker, the sanitizer suite, a fault schedule, or the observers.
 //
 // Independent simulations (one per sweep point) fan out across host CPUs
 // by default; -parallel 1 forces serial execution. The results are
@@ -28,7 +26,9 @@
 // configuration. -json emits machine-readable results instead of tables,
 // and -bench runs the quick experiments serially and in parallel, checks
 // that both agree bit for bit, and writes BENCH_sim.json. -cpuprofile and
-// -memprofile write standard pprof profiles of the host process.
+// -memprofile write standard pprof profiles of the host process. A failed
+// verification (a checksum, an audit, a checker) exits 1, with or without
+// -json.
 package main
 
 import (
@@ -38,6 +38,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"metalsvm/internal/bench"
 	"metalsvm/internal/core"
@@ -46,42 +47,100 @@ import (
 	"metalsvm/internal/svm"
 )
 
-func main() { os.Exit(run()) }
+// env is what a command reads from the command line.
+type env struct {
+	topo       *scc.Config // nil: the paper chip
+	rounds     int
+	iters      int
+	kvRequests int
+	kvSeed     uint64
+}
+
+// command is one `sccbench <name>` harness. run prints its table (or, with
+// res non-nil, fills res for -json) and reports whether its verification
+// passed.
+type command struct {
+	name string
+	doc  string
+	// topo marks the commands that run on a -chips/-grid machine.
+	topo bool
+	// alone leaves the command out of `sccbench all`.
+	alone bool
+	run   func(e env, res *results) bool
+}
+
+// commands is the command table; usage and the -chips/-grid check are
+// generated from it.
+var commands = []command{
+	{name: "fig6", doc: "mail latency vs mesh distance (Figure 6)", topo: true, run: fig6},
+	{name: "fig7", doc: "mail latency vs activated cores (Figure 7)", topo: true, run: fig7},
+	{name: "table1", doc: "SVM overheads (Table 1)", run: table1},
+	{name: "fig9", doc: "Laplace runtimes (Figure 9)", topo: true, run: fig9},
+	{name: "scale", doc: "Laplace + task farm completion on every core", topo: true, run: scale},
+	{name: "ablation", doc: "WCB / scratchpad / next-touch / read-only-L2 studies", run: ablation},
+	{name: "comm", doc: "RCCE transfer latency and bandwidth vs message size", run: comm},
+	{name: "kvstore", doc: "KV store SLO report under chaos schedules (-kv-requests, -kv-seed)", topo: true, alone: true,
+		run: func(e env, res *results) bool { return runKVStore(e.kvRequests, e.kvSeed, e.topo, res) }},
+}
+
+// commandNames lists the commands, the topology-aware ones only when
+// topoOnly is set.
+func commandNames(topoOnly bool) string {
+	var s []string
+	for _, c := range commands {
+		if c.topo || !topoOnly {
+			s = append(s, c.name)
+		}
+	}
+	return strings.Join(s, "|")
+}
+
+func main() { os.Exit(run(os.Args[1:])) }
 
 // run holds the real main so profile teardown runs before the process
 // exits (os.Exit skips deferred calls).
-func run() int {
-	rounds := flag.Int("rounds", 200, "ping-pong rounds per mailbox measurement")
-	chips := flag.Int("chips", 1, "number of chips coupled by the inter-chip link (1 = the paper's single chip)")
-	grid := flag.String("grid", "", "per-chip tile grid as `WxHxC` (width x height x cores per tile; empty = the paper's 6x4x2)")
-	iters := flag.Int("iters", 50, "Laplace iterations (paper: 5000; per-iteration cost is constant, so crossovers are preserved)")
-	fullLaplace := flag.Bool("full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
-	check := flag.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
-	sanitize := flag.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
-	baseline := flag.Bool("baseline", false, "with -bench: require simulated results to match the committed BENCH_sim.json bit for bit")
-	chaos := flag.String("chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
-	kvRequests := flag.Int("kv-requests", 20000, "with the kvstore command: total requests across all client cores")
-	kvSeed := flag.Uint64("kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
-	parallel := flag.Int("parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
-	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile to `file`")
-	memprofile := flag.String("memprofile", "", "write a host heap profile to `file` at exit")
-	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
-	benchMode := flag.Bool("bench", false, "run the quick experiments serially and on the parallel runner, verify both agree bit-exactly, and write BENCH_sim.json")
-	metricsFlag := flag.Bool("metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
-	profileFlag := flag.Bool("profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
-	perfettoOut := flag.String("perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sccbench [flags] fig6|fig7|table1|fig9|scale|ablation|kvstore|all\n")
-		fmt.Fprintf(os.Stderr, "       sccbench [-kv-requests N -kv-seed S] kvstore  (KV store SLO report under chaos)\n")
-		fmt.Fprintf(os.Stderr, "       sccbench -chips N -grid WxHxC fig6|fig7|fig9|scale\n")
-		fmt.Fprintf(os.Stderr, "       sccbench [-chips N -grid WxHxC] -check\n")
-		fmt.Fprintf(os.Stderr, "       sccbench -sanitize\n")
-		fmt.Fprintf(os.Stderr, "       sccbench [-chips N -grid WxHxC] -chaos seed[,spec]\n")
-		fmt.Fprintf(os.Stderr, "       sccbench -bench [-baseline]\n")
-		fmt.Fprintf(os.Stderr, "       sccbench -metrics|-profile|-perfetto out.json fig6|fig7|table1|fig9|repldir|all\n")
-		flag.PrintDefaults()
+func run(args []string) int {
+	fs := flag.NewFlagSet("sccbench", flag.ContinueOnError)
+	rounds := fs.Int("rounds", 200, "ping-pong rounds per mailbox measurement")
+	chips := fs.Int("chips", 1, "number of chips coupled by the inter-chip link (1 = the paper's single chip)")
+	grid := fs.String("grid", "", "per-chip tile grid as `WxHxC` (width x height x cores per tile; empty = the paper's 6x4x2)")
+	iters := fs.Int("iters", 50, "Laplace iterations (paper: 5000; per-iteration cost is constant, so crossovers are preserved)")
+	fullLaplace := fs.Bool("full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
+	check := fs.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
+	sanitize := fs.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
+	baseline := fs.Bool("baseline", false, "with -bench: require simulated results to match the committed BENCH_sim.json bit for bit")
+	chaos := fs.String("chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
+	kvRequests := fs.Int("kv-requests", 20000, "with the kvstore command: total requests across all client cores")
+	kvSeed := fs.Uint64("kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
+	parallel := fs.Int("parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
+	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile to `file`")
+	memprofile := fs.String("memprofile", "", "write a host heap profile to `file` at exit")
+	jsonOut := fs.Bool("json", false, "emit results as JSON instead of tables")
+	benchMode := fs.Bool("bench", false, "run the quick experiments serially and on the parallel runner, verify both agree bit-exactly, and write BENCH_sim.json")
+	metricsFlag := fs.Bool("metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
+	profileFlag := fs.Bool("profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
+	perfettoOut := fs.String("perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintf(w, "usage: sccbench [flags] %s|all\n", commandNames(false))
+		for _, c := range commands {
+			fmt.Fprintf(w, "       sccbench %-9s %s\n", c.name, c.doc)
+		}
+		fmt.Fprintf(w, "       sccbench -chips N -grid WxHxC %s\n", commandNames(true))
+		fmt.Fprintf(w, "       sccbench [-chips N -grid WxHxC] -check|-sanitize  (cells: %s)\n",
+			names(enumerate(modeRace|modePerturb|modeSanitize, nil), ", "))
+		fmt.Fprintf(w, "       sccbench [-chips N -grid WxHxC] -chaos seed[,spec]  (cells: %s)\n",
+			names(enumerate(modeChaos, nil), ", "))
+		fmt.Fprintf(w, "       sccbench -bench [-baseline]\n")
+		fmt.Fprintf(w, "       sccbench -metrics|-profile|-perfetto out.json %s|all\n",
+			names(enumerate(modeObserve, nil), "|"))
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	topo, err := parseTopology(*chips, *grid)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
@@ -118,16 +177,10 @@ func run() int {
 	}
 	bench.SetParallelism(*parallel)
 	if *check {
-		if !runCheck(*parallel, topo) {
-			return 1
-		}
-		return 0
+		return exitCode(runCheck(*parallel, topo))
 	}
 	if *sanitize {
-		if !runSanitize(*parallel) {
-			return 1
-		}
-		return 0
+		return exitCode(runSanitize(*parallel, topo))
 	}
 	if *chaos != "" {
 		return runChaos(*chaos, *rounds, *iters, topo, *jsonOut)
@@ -139,11 +192,11 @@ func run() int {
 		}
 		return runBench(*parallel, *baseline)
 	}
-	if flag.NArg() != 1 {
-		flag.Usage()
+	if fs.NArg() != 1 {
+		fs.Usage()
 		return 2
 	}
-	cmd := flag.Arg(0)
+	name := fs.Arg(0)
 	n := *iters
 	if *fullLaplace {
 		n = 5000
@@ -154,58 +207,42 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sccbench: the instrumented cells run on the paper chip; drop -chips/-grid\n")
 			return 2
 		}
-		return runObserve(cmd, *rounds, n, oc)
+		return runObserve(name, *rounds, n, oc)
 	}
-	var res *results
-	if *jsonOut {
-		res = &results{}
+	var selected []command
+	for _, c := range commands {
+		if c.name == name || (name == "all" && !c.alone) {
+			selected = append(selected, c)
+		}
 	}
-	if topo != nil {
-		switch cmd {
-		case "fig6", "fig7", "fig9", "scale", "kvstore":
-		default:
-			fmt.Fprintf(os.Stderr, "sccbench: %s is defined on the paper chip; use fig6|fig7|fig9|scale with -chips/-grid\n", cmd)
+	if selected == nil {
+		fs.Usage()
+		return 2
+	}
+	for _, c := range selected {
+		if topo != nil && !c.topo {
+			fmt.Fprintf(os.Stderr, "sccbench: %s is defined on the paper chip; use %s with -chips/-grid\n",
+				c.name, commandNames(true))
 			return 2
 		}
 	}
-	switch cmd {
-	case "fig6":
-		fig6(topo, *rounds, res)
-	case "fig7":
-		fig7(topo, *rounds, res)
-	case "table1":
-		table1(res)
-	case "fig9":
-		fig9(topo, n, res)
-	case "scale":
-		if !scale(topo, res) && res == nil {
-			return 1
+	return runCommands(selected, env{topo: topo, rounds: *rounds, iters: n, kvRequests: *kvRequests, kvSeed: *kvSeed}, *jsonOut)
+}
+
+// runCommands runs the selected commands in order — tables separated by a
+// blank line, or one JSON document — and returns the exit code: 1 when any
+// command's verification failed.
+func runCommands(selected []command, e env, jsonOut bool) int {
+	var res *results
+	if jsonOut {
+		res = &results{}
+	}
+	ok := true
+	for i, c := range selected {
+		if i > 0 && res == nil {
+			fmt.Println()
 		}
-	case "ablation":
-		ablation(n, res)
-	case "kvstore":
-		if !runKVStore(*kvRequests, *kvSeed, topo, res) && res == nil {
-			return 1
-		}
-	case "comm":
-		comm(*rounds, res)
-	case "all":
-		fig6(topo, *rounds, res)
-		sep(res)
-		fig7(topo, *rounds, res)
-		sep(res)
-		table1(res)
-		sep(res)
-		fig9(topo, n, res)
-		sep(res)
-		scale(topo, res)
-		sep(res)
-		ablation(n, res)
-		sep(res)
-		comm(*rounds, res)
-	default:
-		flag.Usage()
-		return 2
+		ok = c.run(e, res) && ok
 	}
 	if res != nil {
 		out, err := json.MarshalIndent(res, "", "  ")
@@ -215,7 +252,15 @@ func run() int {
 		}
 		fmt.Println(string(out))
 	}
-	return 0
+	return exitCode(ok)
+}
+
+// exitCode maps a verification verdict to the process exit code.
+func exitCode(ok bool) int {
+	if ok {
+		return 0
+	}
+	return 1
 }
 
 // parseTopology builds the machine configuration from the -chips and -grid
@@ -303,27 +348,14 @@ type ablationResults struct {
 	ReadOnlyProtectedUS float64 `json:"readonly_protected_us"`
 }
 
-// sep prints the blank line between sections of `sccbench all` in table
-// mode only.
-func sep(res *results) {
-	if res == nil {
-		fmt.Println()
-	}
-}
-
-func fig6(topo *scc.Config, rounds int, res *results) {
-	var points []bench.Fig6Point
-	if topo != nil {
-		points = bench.Fig6On(*topo, rounds)
-	} else {
-		points = bench.Fig6(rounds)
-	}
+func fig6(e env, res *results) bool {
+	points := bench.Fig6(e.rounds, e.topo)
 	if res != nil {
 		res.Fig6 = points
-		return
+		return true
 	}
 	fmt.Println("Figure 6: average mail latency according to the distance")
-	fmt.Println("(half round-trip, two active cores, " + fmt.Sprint(rounds) + " rounds)")
+	fmt.Println("(half round-trip, two active cores, " + fmt.Sprint(e.rounds) + " rounds)")
 	t := stats.NewTable("hops", "peer core", "polling [us]", "IPI [us]")
 	for _, p := range points {
 		t.AddRow(fmt.Sprint(p.Hops), fmt.Sprint(p.Peer), stats.US(p.PollingUS), stats.US(p.IPIUS))
@@ -331,23 +363,16 @@ func fig6(topo *scc.Config, rounds int, res *results) {
 	fmt.Print(t)
 	fmt.Println("expected shape: both curves linear in hops with a shallow slope;")
 	fmt.Println("the IPI curve sits a small constant (interrupt entry) above polling.")
+	return true
 }
 
-func fig7(topo *scc.Config, rounds int, res *results) {
-	var points []bench.Fig7Point
-	if topo != nil {
-		points = bench.Fig7On(*topo, rounds, nil)
-	} else {
-		points = bench.Fig7(rounds, nil)
-	}
+func fig7(e env, res *results) bool {
+	points := bench.Fig7(e.rounds, nil, e.topo)
 	if res != nil {
 		res.Fig7 = points
-		return
+		return true
 	}
-	peer, hops := 30, 5
-	if topo != nil {
-		peer, hops = bench.Fig7PeerOn(*topo)
-	}
+	peer, hops := bench.Fig7Peer(e.topo)
 	fmt.Printf("Figure 7: average mail latency between core 0 and core %d (%d hops)\n", peer, hops)
 	t := stats.NewTable("cores", "polling [us]", "IPI [us]", "IPI+noise [us]")
 	for _, p := range points {
@@ -356,13 +381,14 @@ func fig7(topo *scc.Config, rounds int, res *results) {
 	fmt.Print(t)
 	fmt.Println("expected shape: polling grows linearly with the number of activated")
 	fmt.Println("cores (every buffer is checked); both IPI curves stay flat and close.")
+	return true
 }
 
-func table1(res *results) {
+func table1(_ env, res *results) bool {
 	s, l := bench.Table1Both()
 	if res != nil {
 		res.Table1 = &table1Results{Strong: s, Lazy: l}
-		return
+		return true
 	}
 	fmt.Println("Table 1: average overhead by using the SVM system")
 	t := stats.NewTable("operation", "strong [us]", "lazy release [us]", "paper strong", "paper lazy")
@@ -371,17 +397,19 @@ func table1(res *results) {
 	t.AddRow("mapping of a page frame", stats.US(s.MapUS), stats.US(l.MapUS), "10.198", "2.418")
 	t.AddRow("retrieve the access permission", stats.US(s.RetrieveUS), "-", "8.990", "-")
 	fmt.Print(t)
+	return true
 }
 
-func fig9(topo *scc.Config, iters int, res *results) {
+func fig9(e env, res *results) bool {
+	iters := e.iters
 	cfg := bench.PaperFig9(iters)
-	if topo != nil {
-		cfg = bench.ScaledFig9(*topo, iters)
+	if e.topo != nil {
+		cfg = bench.ScaledFig9(*e.topo, iters)
 	}
 	points := bench.Fig9(cfg)
 	if res != nil {
 		res.Fig9 = &fig9Results{Iters: iters, Points: points}
-		return
+		return true
 	}
 	fmt.Printf("Figure 9: runtimes of the Laplace benchmark (1024x512 doubles, %d iterations)\n", iters)
 	if iters != 5000 {
@@ -396,15 +424,16 @@ func fig9(topo *scc.Config, iters int, res *results) {
 	fmt.Println("expected shape: both SVM curves nearly identical; SVM below iRCCE up to")
 	fmt.Println("32 cores (write-combine buffer); iRCCE superlinear past 32 cores (both")
 	fmt.Println("array slices fit its L2, which the SVM variants sacrifice for the WCB).")
+	return true
 }
 
 // scale runs the multi-chip completion harness: the Laplace solver and the
 // task farm on every core of the topology (the stock chip when no -chips/
 // -grid is given), with exact checksum verification.
-func scale(topo *scc.Config, res *results) bool {
+func scale(e env, res *results) bool {
 	cfg := scc.PaperSCC()
-	if topo != nil {
-		cfg = *topo
+	if e.topo != nil {
+		cfg = *e.topo
 	}
 	r := bench.RunScale(cfg, bench.ScaleParams{Model: svm.LazyRelease})
 	ok := r.LaplaceOK && r.FarmOK
@@ -431,8 +460,8 @@ func scale(topo *scc.Config, res *results) bool {
 	return ok
 }
 
-func ablation(iters int, res *results) {
-	with, without := bench.AblationWCB(iters, 8)
+func ablation(e env, res *results) bool {
+	with, without := bench.AblationWCB(e.iters, 8)
 	mpb, offDie := bench.AblationScratchpad(256)
 	remote, local := bench.AblationNextTouch(16, 8)
 	writable, readonly := bench.AblationReadOnlyL2(16, 8)
@@ -447,7 +476,7 @@ func ablation(iters int, res *results) {
 			ReadOnlyWritableUS:  writable,
 			ReadOnlyProtectedUS: readonly,
 		}
-		return
+		return true
 	}
 	fmt.Println("Ablation: write-combine buffer (lazy release, 8 cores)")
 	t := stats.NewTable("configuration", "laplace loop [ms]")
@@ -474,14 +503,14 @@ func ablation(iters int, res *results) {
 	fmt.Print(t)
 
 	fmt.Println("\nAblation: mailbox IPI vs polling -> see fig6/fig7")
-
+	return true
 }
 
-func comm(rounds int, res *results) {
-	points := bench.CommSweep(30, nil, rounds/4+1)
+func comm(e env, res *results) bool {
+	points := bench.CommSweep(30, nil, e.rounds/4+1)
 	if res != nil {
 		res.Comm = points
-		return
+		return true
 	}
 	fmt.Println("Supplementary: RCCE transfer path, core 0 -> core 30 (5 hops)")
 	t := stats.NewTable("bytes", "latency [us]", "bandwidth [MB/s]")
@@ -491,4 +520,5 @@ func comm(rounds int, res *results) {
 	fmt.Print(t)
 	fmt.Println("expected shape: flat latency until the staging slot fills, then")
 	fmt.Println("linear in size; bandwidth saturates at the MPB pull path's rate.")
+	return true
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 
-	"metalsvm/internal/bench"
 	"metalsvm/internal/core"
 	"metalsvm/internal/profile"
 	"metalsvm/internal/svm"
@@ -37,75 +36,54 @@ func (oc observeConfig) instrumentation() core.Instrumentation {
 	return inst
 }
 
-// runObserve runs one representative instrumented cell per selected harness
-// and renders the requested artifacts. The instrumented runs are
+// runObserve runs one instrumented cell per selected observe cell of the
+// table and renders the requested artifacts. The instrumented runs are
 // bit-identical to the plain harness cells (enforced by -check), so the
 // profiles and metrics describe exactly the runs the tables report.
 func runObserve(cmd string, rounds, iters int, oc observeConfig) int {
-	type harness struct {
-		name string
-		run  func() (string, *core.Observation)
-	}
-	harnesses := map[string]harness{
-		"fig6": {"fig6", func() (string, *core.Observation) {
-			us, obs := bench.Fig6Observed(rounds, oc.instrumentation())
-			return fmt.Sprintf("IPI ping-pong at maximum mesh distance: %.3f us half round trip", us), obs
-		}},
-		"fig7": {"fig7", func() (string, *core.Observation) {
-			us, obs := bench.Fig7Observed(rounds, 48, oc.instrumentation())
-			return fmt.Sprintf("polling ping-pong with 48 activated cores: %.3f us half round trip", us), obs
-		}},
-		"table1": {"table1", func() (string, *core.Observation) {
-			res, obs := bench.Table1Observed(svm.Strong, oc.instrumentation())
-			return fmt.Sprintf("strong-model overhead benchmark: map %.3f us, retrieve %.3f us",
-				res.MapUS, res.RetrieveUS), obs
-		}},
-		"fig9": {"fig9", func() (string, *core.Observation) {
-			us, obs := bench.Fig9Observed(bench.QuickFig9(iters), svm.Strong, 8, oc.instrumentation())
-			return fmt.Sprintf("Laplace on 8 cores, strong model: %.1f us iteration loop", us), obs
-		}},
-		"repldir": {"repldir", func() (string, *core.Observation) {
-			us, obs := bench.Fig9DirObserved(bench.QuickFig9(iters), svm.Strong, 8, oc.instrumentation())
-			return fmt.Sprintf("Laplace on 8 workers, strong model, replicated ownership directory: %.1f us iteration loop", us), obs
-		}},
-	}
-	var selected []harness
-	if cmd == "all" {
-		for _, name := range []string{"fig6", "fig7", "table1", "fig9", "repldir"} {
-			selected = append(selected, harnesses[name])
+	selected := enumerate(modeObserve, nil)
+	if cmd != "all" {
+		var one []*cell
+		for _, c := range selected {
+			if c.name == cmd {
+				one = append(one, c)
+			}
 		}
-	} else if h, ok := harnesses[cmd]; ok {
-		selected = append(selected, h)
-	} else {
-		fmt.Fprintf(os.Stderr, "sccbench: -metrics/-profile/-perfetto support fig6|fig7|table1|fig9|repldir|all, not %q\n", cmd)
-		return 2
+		if one == nil {
+			fmt.Fprintf(os.Stderr, "sccbench: -metrics/-profile/-perfetto support %s|all, not %q\n",
+				names(selected, "|"), cmd)
+			return 2
+		}
+		selected = one
 	}
 
-	for i, h := range selected {
+	for i, c := range selected {
 		if i > 0 {
 			fmt.Println()
 		}
-		desc, obs := h.run()
-		fmt.Printf("%s: %s\n", h.name, desc)
+		x := trial{sizes: sizes{rounds: rounds, iters: iters, pollers: 48}, model: svm.Strong,
+			opts: core.Options{Observe: oc.instrumentation()}}
+		r := c.run(x)
+		fmt.Printf("%s: %s\n", c.name, c.describe(x, r))
 		if oc.metrics {
 			fmt.Println("metrics:")
-			obs.MetricsSnapshot().WriteText(os.Stdout)
+			r.Obs.MetricsSnapshot().WriteText(os.Stdout)
 		}
 		if oc.profile {
 			fmt.Println("simulated-time profile:")
-			obs.ProfileReport().WriteText(os.Stdout)
+			r.Obs.ProfileReport().WriteText(os.Stdout)
 		}
 		if oc.perfetto != "" {
 			path := oc.perfetto
 			if len(selected) > 1 {
-				path = suffixPath(path, h.name)
+				path = suffixPath(path, c.name)
 			}
 			f, err := os.Create(path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
 				return 1
 			}
-			err = obs.WritePerfetto(f)
+			err = r.Obs.WritePerfetto(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

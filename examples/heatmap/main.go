@@ -35,9 +35,9 @@ func main() {
 	chipCfg.SharedMem = 16 << 20
 	scfg := svm.DefaultConfig(svm.LazyRelease)
 	m, err := core.NewMachine(core.Options{
-		Chip:    &chipCfg,
-		SVM:     &scfg,
-		Members: core.FirstN(cores),
+		Topology: &chipCfg,
+		SVM:      &scfg,
+		Members:  core.FirstN(cores),
 	})
 	if err != nil {
 		panic(err)

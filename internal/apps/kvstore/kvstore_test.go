@@ -5,8 +5,10 @@ import (
 
 	"metalsvm/internal/apps/kvstore"
 	"metalsvm/internal/bench"
+	"metalsvm/internal/core"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/scc"
+	"metalsvm/internal/svm/repldir"
 )
 
 // smallParams is a quick but fully-featured configuration for a 16-core
@@ -19,10 +21,20 @@ func smallParams() kvstore.Params {
 
 func smallTopo() scc.Config { return scc.Grid(4, 4, 1) }
 
+// runKV runs the store on topo under fc, with the replicated directory when
+// dir is set.
+func runKV(p kvstore.Params, topo scc.Config, fc *faults.Config, dir bool) bench.Record {
+	opts := core.Options{Topology: &topo, Faults: fc}
+	if dir {
+		opts.ReplicatedDirectory = &repldir.Config{}
+	}
+	return bench.KVStore(p, opts)
+}
+
 // requireClean asserts the baseline invariants every completed run must
 // hold: exact audit, complete outcome taxonomy and nonzero goodput in every
 // reporting window.
-func requireClean(t *testing.T, r bench.KVReport, wantIssued uint64) {
+func requireClean(t *testing.T, r bench.Record, wantIssued uint64) {
 	t.Helper()
 	if !r.Completed {
 		t.Fatalf("run froze: %s", r.Watchdog)
@@ -43,7 +55,7 @@ func requireClean(t *testing.T, r bench.KVReport, wantIssued uint64) {
 
 func TestKVClosedLoopAudit(t *testing.T) {
 	p := smallParams()
-	r := bench.RunKV(p, smallTopo(), nil, false)
+	r := runKV(p, smallTopo(), nil, false)
 	requireClean(t, r, uint64(p.Requests))
 	if r.KV.Applied == 0 || r.KV.ServerApplied == 0 {
 		t.Fatalf("nothing applied: %+v", r.KV)
@@ -67,8 +79,8 @@ func TestKVClosedLoopAudit(t *testing.T) {
 // topology, schedule) — same seed, same everything.
 func TestKVReplayBitIdentical(t *testing.T) {
 	p := smallParams()
-	a := bench.RunKV(p, smallTopo(), nil, false)
-	b := bench.RunKV(p, smallTopo(), nil, false)
+	a := runKV(p, smallTopo(), nil, false)
+	b := runKV(p, smallTopo(), nil, false)
 	if a.KV.Checksum != b.KV.Checksum || a.EndUS != b.EndUS {
 		t.Fatalf("replay diverged: %#x/%.3f vs %#x/%.3f",
 			a.KV.Checksum, a.EndUS, b.KV.Checksum, b.EndUS)
@@ -83,7 +95,7 @@ func TestKVOpenLoopSheds(t *testing.T) {
 	p.ArrivalUS = 0.5
 	p.ServiceCycles = 5000
 	p.QueueBound = 2
-	r := bench.RunKV(p, smallTopo(), nil, false)
+	r := runKV(p, smallTopo(), nil, false)
 	requireClean(t, r, uint64(p.Requests))
 	if r.KV.Shed == 0 || r.KV.ServerShed == 0 {
 		t.Fatalf("overload shed nothing: %+v", r.KV)
@@ -100,7 +112,7 @@ func TestKVCrashFailover(t *testing.T) {
 	p := smallParams()
 	spec, _ := faults.PresetSpec("crash")
 	fc := &faults.Config{Seed: 7, Spec: spec}
-	r := bench.RunKV(p, smallTopo(), fc, true)
+	r := runKV(p, smallTopo(), fc, true)
 	requireClean(t, r, uint64(p.Requests))
 	if r.Faults.Crashes == 0 {
 		t.Fatalf("crash schedule crashed nobody: %+v", r.Faults)
@@ -120,7 +132,7 @@ func TestKVDropsRecovers(t *testing.T) {
 	p := smallParams()
 	spec, _ := faults.PresetSpec("drops")
 	fc := &faults.Config{Seed: 11, Spec: spec}
-	r := bench.RunKV(p, smallTopo(), fc, false)
+	r := runKV(p, smallTopo(), fc, false)
 	requireClean(t, r, uint64(p.Requests))
 	if r.Faults.Injected() == 0 {
 		t.Fatalf("drops schedule injected nothing: %+v", r.Faults)
@@ -136,7 +148,7 @@ func TestKVPartitionHeals(t *testing.T) {
 	spec, _ := faults.PresetSpec("partition")
 	fc := &faults.Config{Seed: 13, Spec: spec}
 	topo := scc.MultiChip(2, scc.Grid(2, 2, 2))
-	r := bench.RunKV(p, topo, fc, false)
+	r := runKV(p, topo, fc, false)
 	requireClean(t, r, uint64(p.Requests))
 	if r.Faults.PartitionDrops == 0 {
 		t.Fatalf("partition window dropped nothing: %+v", r.Faults)

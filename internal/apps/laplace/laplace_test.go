@@ -77,9 +77,9 @@ func runSVMTest(t *testing.T, model svm.Model, members []int, p Params, opts SVM
 	t.Helper()
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Chip:    smallChip(),
-		SVM:     &scfg,
-		Members: members,
+		Topology: smallChip(),
+		SVM:      &scfg,
+		Members:  members,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestFullChip48Cores(t *testing.T) {
 
 	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
 		scfg := svm.DefaultConfig(model)
-		m, err := core.NewMachine(core.Options{Chip: &cfg, SVM: &scfg, Members: core.FirstN(48)})
+		m, err := core.NewMachine(core.Options{Topology: &cfg, SVM: &scfg, Members: core.FirstN(48)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,12 +17,12 @@ import (
 // write-through data is "extremely useful to increase the bandwidth").
 // Returns iteration-loop times in microseconds.
 func AblationWCB(iters, cores int) (withWCB, withoutWCB float64) {
-	cfg := QuickFig9(iters)
-	cfgNoWCB := QuickFig9(iters)
+	cfg := PaperFig9(iters)
+	cfgNoWCB := PaperFig9(iters)
 	cfgNoWCB.Chip.Core.DisableWCB = true
 	runTasks([]func(){
-		func() { withWCB = Fig9RunSVM(cfg, svm.LazyRelease, cores) },
-		func() { withoutWCB = Fig9RunSVM(cfgNoWCB, svm.LazyRelease, cores) },
+		func() { withWCB = fig9SVM(cfg, svm.LazyRelease, cores) },
+		func() { withoutWCB = fig9SVM(cfgNoWCB, svm.LazyRelease, cores) },
 	})
 	return withWCB, withoutWCB
 }
@@ -37,12 +37,8 @@ func AblationScratchpad(pages uint32) (mpbUS, offDieUS float64) {
 		scfg.ScratchpadOffDie = offDie
 		// Isolate the directory cost: no allocator bookkeeping, no zeroing
 		// dominance — keep the calibrated costs but measure the delta.
-		ccfg := benchChip()
-		m, err := core.NewMachine(core.Options{
-			Chip:    &ccfg,
-			SVM:     &scfg,
-			Members: []int{0, 30},
-		})
+		ccfg := ShrunkChip(nil)
+		m, err := core.NewMachine(core.Options{Topology: &ccfg, SVM: &scfg, Members: []int{0, 30}})
 		if err != nil {
 			panic(err)
 		}
@@ -82,19 +78,9 @@ func AblationScratchpad(pages uint32) (mpbUS, offDieUS float64) {
 // in microseconds.
 func AblationMatmulReadOnly(n, cores int) (writableUS, protectedUS float64) {
 	run := func(protected bool) float64 {
-		scfg := svm.DefaultConfig(svm.LazyRelease)
-		ccfg := benchChip()
-		m, err := core.NewMachine(core.Options{
-			Chip:    &ccfg,
-			SVM:     &scfg,
-			Members: core.FirstN(cores),
-		})
-		if err != nil {
-			panic(err)
-		}
-		app := matmul.New(matmul.Params{N: n, Protected: protected})
-		m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-		return app.Result().Elapsed.Microseconds()
+		ccfg := ShrunkChip(nil)
+		opts := core.Options{Topology: &ccfg, Members: core.FirstN(cores)}
+		return Matmul(matmul.Params{N: n, Protected: protected}, svm.LazyRelease, opts).US
 	}
 	var writable, protected float64
 	runTasks([]func(){
@@ -112,16 +98,8 @@ func AblationMatmulReadOnly(n, cores int) (writableUS, protectedUS float64) {
 // to DRAM dominates. Returns mean per-scan times in microseconds,
 // excluding the migration itself.
 func AblationNextTouch(pages uint32, scans int) (remoteUS, localUS float64) {
-	scfg := svm.DefaultConfig(svm.LazyRelease)
-	ccfg := benchChip()
-	m, err := core.NewMachine(core.Options{
-		Chip:    &ccfg,
-		SVM:     &scfg,
-		Members: []int{0, 47},
-	})
-	if err != nil {
-		panic(err)
-	}
+	ccfg := ShrunkChip(nil)
+	m := newMachine(svm.LazyRelease, core.Options{Topology: &ccfg, Members: []int{0, 47}})
 	bytes := pages * pgtable.PageSize
 	scan := func(env *core.Env, base uint32) float64 {
 		start := env.Core().Now()
@@ -167,18 +145,10 @@ func AblationNextTouch(pages uint32, scans int) (remoteUS, localUS float64) {
 // the MPBT bit and thereby re-enables the L2). Returns mean scan times in
 // microseconds.
 func AblationReadOnlyL2(pages uint32, scans int) (writableUS, readonlyUS float64) {
-	scfg := svm.DefaultConfig(svm.LazyRelease)
-	ccfg := benchChip()
+	ccfg := ShrunkChip(nil)
 	// Shrink L1 so the region does not fit it — the win must come from L2.
 	ccfg.Core.L1Size = 2 << 10
-	m, err := core.NewMachine(core.Options{
-		Chip:    &ccfg,
-		SVM:     &scfg,
-		Members: []int{0, 30},
-	})
-	if err != nil {
-		panic(err)
-	}
+	m := newMachine(svm.LazyRelease, core.Options{Topology: &ccfg, Members: []int{0, 30}})
 	bytes := pages * pgtable.PageSize
 	scan := func(env *core.Env, base uint32) float64 {
 		start := env.Core().Now()

@@ -12,7 +12,7 @@ import (
 // latency constants cannot silently break the build.
 
 func TestFig6Shape(t *testing.T) {
-	pts := Fig6(60)
+	pts := Fig6(60, nil)
 	if len(pts) < 9 {
 		t.Fatalf("only %d distances measured", len(pts))
 	}
@@ -46,7 +46,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	pts := Fig7(40, []int{2, 16, 48})
+	pts := Fig7(40, []int{2, 16, 48}, nil)
 	p2, p16, p48 := pts[0], pts[1], pts[2]
 	// Polling cost grows with the number of activated cores...
 	if !(p2.PollingUS < p16.PollingUS && p16.PollingUS < p48.PollingUS) {
@@ -116,8 +116,8 @@ func TestFig9Shape(t *testing.T) {
 	run := func(n int) point {
 		return point{
 			ircce:  Fig9RunBaseline(cfg, n),
-			strong: Fig9RunSVM(cfg, svm.Strong, n),
-			lazy:   Fig9RunSVM(cfg, svm.LazyRelease, n),
+			strong: fig9SVM(cfg, svm.Strong, n),
+			lazy:   fig9SVM(cfg, svm.LazyRelease, n),
 		}
 	}
 	p8, p48 := run(8), run(48)
@@ -210,16 +210,16 @@ func TestCommSweepShape(t *testing.T) {
 // for all four experiment harnesses: running any of them twice must yield
 // bit-identical simulated timestamps.
 func TestExperimentsDeterministic(t *testing.T) {
-	a := Fig6(20)
-	b := Fig6(20)
+	a := Fig6(20, nil)
+	b := Fig6(20, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("Fig6 nondeterministic at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 
-	f7a := Fig7(20, []int{2, 16})
-	f7b := Fig7(20, []int{2, 16})
+	f7a := Fig7(20, []int{2, 16}, nil)
+	f7b := Fig7(20, []int{2, 16}, nil)
 	for i := range f7a {
 		if f7a[i] != f7b[i] {
 			t.Fatalf("Fig7 nondeterministic at %d: %+v vs %+v", i, f7a[i], f7b[i])
@@ -233,7 +233,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 
 	// A reduced Fig9 point per variant: small grid, few iterations, 4 cores.
-	cfg := QuickFig9(3)
+	cfg := PaperFig9(3)
 	cfg.Params.Rows, cfg.Params.Cols = 32, 32
 	cfg.CoreCounts = []int{4}
 	f9a := Fig9(cfg)

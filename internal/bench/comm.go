@@ -15,20 +15,15 @@ type CommPoint struct {
 	MBPerSec  float64
 }
 
-// CommSweepSizes is the default size axis.
-func CommSweepSizes() []int {
-	return []int{32, 128, 512, 2048, 8192, 32768}
-}
-
 // CommSweep measures RCCE send/recv between two cores at the given mesh
 // distance for each size (rounds messages each).
 func CommSweep(peer int, sizes []int, rounds int) []CommPoint {
 	if sizes == nil {
-		sizes = CommSweepSizes()
+		sizes = []int{32, 128, 512, 2048, 8192, 32768}
 	}
 	var out []CommPoint
 	for _, size := range sizes {
-		chipCfg := benchChip()
+		chipCfg := ShrunkChip(nil)
 		b, err := core.NewBaseline(&chipCfg, []int{0, peer})
 		if err != nil {
 			panic(err)

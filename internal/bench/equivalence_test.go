@@ -16,14 +16,14 @@ func TestParallelRunnerEquivalence(t *testing.T) {
 		name string
 		run  func() any
 	}{
-		{"fig6", func() any { return Fig6(20) }},
-		{"fig7", func() any { return Fig7(20, []int{2, 4}) }},
+		{"fig6", func() any { return Fig6(20, nil) }},
+		{"fig7", func() any { return Fig7(20, []int{2, 4}, nil) }},
 		{"table1", func() any {
 			s, l := Table1Both()
 			return []Table1Result{s, l}
 		}},
 		{"fig9", func() any {
-			cfg := QuickFig9(2)
+			cfg := PaperFig9(2)
 			cfg.CoreCounts = []int{2, 4}
 			return Fig9(cfg)
 		}},

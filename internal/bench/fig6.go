@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"metalsvm/internal/core"
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/mesh"
 	"metalsvm/internal/scc"
@@ -19,23 +20,13 @@ type Fig6Point struct {
 // Fig6 reproduces Figure 6: "Average latency according to the distance".
 // Only the two pinging cores are activated, as in the paper, so the
 // polling kernel checks a single receive buffer and comes out faster than
-// the interrupt-driven path (whose gap is the IRQ entry overhead).
-func Fig6(rounds int) []Fig6Point { return fig6Run(nil, rounds) }
-
-// Fig6On is the distance sweep on an arbitrary topology: the x-axis spans
-// the topology's own mesh diameter (on-chip — the inter-chip link has no
-// hop count; see the scale harness for cross-chip latencies).
-func Fig6On(topo scc.Config, rounds int) []Fig6Point {
-	chip := benchChipOn(topo)
-	return fig6Run(&chip, rounds)
-}
-
-func fig6Run(chip *scc.Config, rounds int) []Fig6Point {
-	mcfg := mesh.DefaultConfig()
-	if chip != nil {
-		mcfg = chip.Mesh
-	}
-	m, err := mesh.New(mcfg)
+// the interrupt-driven path (whose gap is the IRQ entry overhead). A
+// non-nil topo sweeps that machine instead of the paper chip: the x-axis
+// spans its own mesh diameter (on-chip — the inter-chip link has no hop
+// count; see the scale harness for cross-chip latencies).
+func Fig6(rounds int, topo *scc.Config) []Fig6Point {
+	chip := ShrunkChip(topo)
+	m, err := mesh.New(chip.Mesh)
 	if err != nil {
 		panic(err)
 	}
@@ -54,22 +45,34 @@ func fig6Run(chip *scc.Config, rounds int) []Fig6Point {
 	var tasks []func()
 	for i := range out {
 		p := &out[i]
-		members := []int{0, p.Peer}
-		if members[0] > members[1] {
-			members[0], members[1] = members[1], members[0]
-		}
-		tasks = append(tasks, func() {
-			p.PollingUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModePolling, a: 0, b: p.Peer, members: members,
-				rounds: rounds, warmup: rounds / 4, chip: chip,
-			})
-		}, func() {
-			p.IPIUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModeIPI, a: 0, b: p.Peer, members: members,
-				rounds: rounds, warmup: rounds / 4, chip: chip,
-			})
-		})
+		opts := core.Options{Topology: &chip, Members: pair(p.Peer)}
+		tasks = append(tasks,
+			func() { p.PollingUS = pingPong(mailbox.ModePolling, p.Peer, rounds, false, opts).US },
+			func() { p.IPIUS = pingPong(mailbox.ModeIPI, p.Peer, rounds, false, opts).US })
 	}
 	runTasks(tasks)
 	return out
 }
+
+// Fig6Cell is Figure 6's representative cell: the IPI ping-pong between
+// core 0 and the core farthest from it on the mesh, the two cores alone.
+// opts.Topology nil selects the paper chip with shrunk memories;
+// opts.Members is ignored (the pair is the member set).
+func Fig6Cell(rounds int, opts core.Options) Record {
+	chip := ShrunkChip(opts.Topology)
+	m, err := mesh.New(chip.Mesh)
+	if err != nil {
+		panic(err)
+	}
+	peer := -1
+	for h := m.MaxHops(); h >= 0 && peer < 0; h-- {
+		peer = m.CoreAtDistance(0, h)
+	}
+	opts.Topology = &chip
+	opts.Members = pair(peer)
+	return pingPong(mailbox.ModeIPI, peer, rounds, false, opts)
+}
+
+// pair returns the member set {0, peer} (core 0 has the lowest id, so the
+// set is sorted).
+func pair(peer int) []int { return []int{0, peer} }

@@ -3,6 +3,7 @@ package bench
 import (
 	"sort"
 
+	"metalsvm/internal/core"
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/mesh"
 	"metalsvm/internal/scc"
@@ -17,13 +18,6 @@ type Fig7Point struct {
 	IPINoiseUS float64 // IPI while the other cores mail each other: flat
 }
 
-// Fig7CoreCounts is the default sweep (the paper plots 2..48).
-func Fig7CoreCounts() []int { return []int{2, 4, 8, 16, 24, 32, 40, 48} }
-
-// fig7Members returns core 0, core 30, and enough filler cores for a total
-// of n, sorted.
-func fig7Members(n int) []int { return fig7MembersOn(30, n) }
-
 // fig7MembersOn returns core 0, the given peer, and enough filler cores
 // for a total of n, sorted ascending.
 func fig7MembersOn(peer, n int) []int {
@@ -37,62 +31,23 @@ func fig7MembersOn(peer, n int) []int {
 	return members
 }
 
-// fig7Peer picks the measuring pair's far end on a mesh: the paper pairs
-// core 0 with core 30 (5 hops); on other grids the first core found at 5
-// hops — or the mesh diameter when the grid is smaller — takes that role,
-// falling back to core 1 on a single-tile grid.
-func fig7Peer(m *mesh.Mesh) int {
-	h := 5
-	if m.MaxHops() < h {
-		h = m.MaxHops()
-	}
-	for ; h > 0; h-- {
-		if peer := m.CoreAtDistance(0, h); peer > 0 {
-			return peer
-		}
-	}
-	return 1
-}
-
-// Fig7 reproduces Figure 7: "Average latency between core 0 and 30".
-func Fig7(rounds int, coreCounts []int) []Fig7Point {
-	if coreCounts == nil {
-		coreCounts = Fig7CoreCounts()
-	}
-	return fig7Run(nil, 30, rounds, coreCounts)
-}
-
-// Fig7PeerOn reports the pair Fig7On measures on the given topology: the
-// far end's core id and its hop distance from core 0 (for table headers).
-func Fig7PeerOn(topo scc.Config) (peer, hops int) {
-	m, err := mesh.New(topo.Normalized().Mesh)
-	if err != nil {
-		panic(err)
-	}
-	peer = fig7Peer(m)
-	return peer, m.HopsCores(0, peer)
-}
-
-// Fig7On is the activated-cores sweep on an arbitrary topology: the pair
-// is core 0 and the topology's equivalent of the paper's 5-hop peer, and
-// the default sweep doubles from 2 up to the machine's total core count.
-func Fig7On(topo scc.Config, rounds int, coreCounts []int) []Fig7Point {
-	chip := benchChipOn(topo)
-	m, err := mesh.New(chip.Mesh)
-	if err != nil {
-		panic(err)
+// Fig7 reproduces Figure 7: "Average latency between core 0 and 30". A
+// nil coreCounts selects the default sweep. A non-nil topo runs the sweep
+// on that machine: the pair is core 0 and the topology's equivalent of the
+// paper's 5-hop peer, and the default sweep doubles from 2 up to the
+// machine's total core count.
+func Fig7(rounds int, coreCounts []int, topo *scc.Config) []Fig7Point {
+	chip, peer := fig7Pair(topo)
+	if coreCounts == nil && topo == nil {
+		coreCounts = []int{2, 4, 8, 16, 24, 32, 40, 48} // the paper plots 2..48
 	}
 	if coreCounts == nil {
-		total := chip.Chips * m.Cores()
-		for n := 2; n < total; n *= 2 {
+		total := core.AllCores(chip)
+		for n := 2; n < len(total); n *= 2 {
 			coreCounts = append(coreCounts, n)
 		}
-		coreCounts = append(coreCounts, total)
+		coreCounts = append(coreCounts, len(total))
 	}
-	return fig7Run(&chip, fig7Peer(m), rounds, coreCounts)
-}
-
-func fig7Run(chip *scc.Config, peer, rounds int, coreCounts []int) []Fig7Point {
 	// One independent simulation per (core count, mode) cell, fanned
 	// across the host pool; each writes its own field of its own point.
 	out := make([]Fig7Point, len(coreCounts))
@@ -100,24 +55,58 @@ func fig7Run(chip *scc.Config, peer, rounds int, coreCounts []int) []Fig7Point {
 	for i, n := range coreCounts {
 		p := &out[i]
 		p.Cores = n
-		members := fig7MembersOn(peer, n)
-		tasks = append(tasks, func() {
-			p.PollingUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModePolling, a: 0, b: peer, members: members,
-				rounds: rounds, warmup: rounds / 4, chip: chip,
-			})
-		}, func() {
-			p.IPIUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModeIPI, a: 0, b: peer, members: members,
-				rounds: rounds, warmup: rounds / 4, chip: chip,
-			})
-		}, func() {
-			p.IPINoiseUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModeIPI, a: 0, b: peer, members: members,
-				rounds: rounds, warmup: rounds / 4, noise: true, chip: chip,
-			})
-		})
+		opts := core.Options{Topology: &chip, Members: fig7MembersOn(peer, n)}
+		tasks = append(tasks,
+			func() { p.PollingUS = pingPong(mailbox.ModePolling, peer, rounds, false, opts).US },
+			func() { p.IPIUS = pingPong(mailbox.ModeIPI, peer, rounds, false, opts).US },
+			func() { p.IPINoiseUS = pingPong(mailbox.ModeIPI, peer, rounds, true, opts).US })
 	}
 	runTasks(tasks)
 	return out
+}
+
+// Fig7Cell is Figure 7's representative cell: the polling ping-pong between
+// core 0 and its Figure 7 peer with n activated cores — the configuration
+// where idle-core mailbox sweeps dominate. opts.Topology nil selects the
+// paper chip with shrunk memories; opts.Members is ignored (n picks the
+// activated set).
+func Fig7Cell(rounds, n int, opts core.Options) Record {
+	chip, peer := fig7Pair(opts.Topology)
+	opts.Topology = &chip
+	opts.Members = fig7MembersOn(peer, n)
+	return pingPong(mailbox.ModePolling, peer, rounds, false, opts)
+}
+
+// fig7Pair returns the shrunk machine Figure 7 runs on and the far end of
+// its measuring pair. The paper pairs core 0 with core 30 (5 hops); on
+// other grids the first core found at 5 hops — or the mesh diameter when
+// the grid is smaller — takes that role, falling back to core 1 on a
+// single-tile grid.
+func fig7Pair(topo *scc.Config) (scc.Config, int) {
+	chip := ShrunkChip(topo)
+	if topo == nil {
+		return chip, 30
+	}
+	m, err := mesh.New(chip.Mesh)
+	if err != nil {
+		panic(err)
+	}
+	for h := min(5, m.MaxHops()); h > 0; h-- {
+		if peer := m.CoreAtDistance(0, h); peer > 0 {
+			return chip, peer
+		}
+	}
+	return chip, 1
+}
+
+// Fig7Peer reports the pair Fig7 measures on a topology (nil: the paper
+// chip): the far end's core id and its hop distance from core 0, for table
+// headers.
+func Fig7Peer(topo *scc.Config) (peer, hops int) {
+	chip, peer := fig7Pair(topo)
+	m, err := mesh.New(chip.Mesh)
+	if err != nil {
+		panic(err)
+	}
+	return peer, m.HopsCores(0, peer)
 }

@@ -45,17 +45,6 @@ func PaperFig9(iters int) Fig9Config {
 	}
 }
 
-// QuickFig9 keeps the paper's exact grid geometry (1024x512 doubles, one
-// 4 KiB page per row — the property that bounds the strong model at two
-// ownership faults per iteration) and real cache sizes, and only reduces
-// the iteration count. Per-iteration cost does not depend on the iteration
-// count, so every crossover of Figure 9 appears unchanged; multiply
-// reported times by 5000/iters to compare against the paper's absolute
-// runtimes.
-func QuickFig9(iters int) Fig9Config {
-	return PaperFig9(iters)
-}
-
 // ScaledFig9 generalizes the Laplace study to an arbitrary topology: the
 // paper's grid geometry on the given machine, sweeping core counts that
 // double from 4 up to the machine's total (so a 4-chip 512-core topology
@@ -88,30 +77,11 @@ func Fig9RunBaseline(cfg Fig9Config, n int) float64 {
 	return app.Result().Elapsed.Microseconds()
 }
 
-// Fig9RunSVM runs one SVM variant on n cores.
-func Fig9RunSVM(cfg Fig9Config, model svm.Model, n int) float64 {
-	us, _ := Fig9Observed(cfg, model, n, core.Instrumentation{})
-	return us
-}
-
-// Fig9Observed is Fig9RunSVM with instrumentation wired into the machine.
-// The runtime is bit-identical to an uninstrumented run (the equivalence
-// tests assert this); the observation is nil when inst requests nothing.
-func Fig9Observed(cfg Fig9Config, model svm.Model, n int, inst core.Instrumentation) (float64, *core.Observation) {
+// fig9SVM runs one SVM variant of the sweep on n cores and returns the
+// iteration-loop time in microseconds.
+func fig9SVM(cfg Fig9Config, model svm.Model, n int) float64 {
 	chip := cfg.Chip
-	scfg := svm.DefaultConfig(model)
-	m, err := core.NewMachine(core.Options{
-		Chip:    &chip,
-		SVM:     &scfg,
-		Members: core.FirstN(n),
-		Observe: inst,
-	})
-	if err != nil {
-		panic(err)
-	}
-	app := laplace.NewSVM(cfg.Params, laplace.SVMOptions{})
-	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-	return app.Result().Elapsed.Microseconds(), m.Observability()
+	return Laplace(cfg.Params, model, core.Options{Topology: &chip, Members: core.FirstN(n)}).US
 }
 
 // Fig9 runs the full sweep: one independent simulation per (variant, core
@@ -126,8 +96,8 @@ func Fig9(cfg Fig9Config) []Fig9Point {
 		p.Cores = n
 		tasks = append(tasks,
 			func() { p.IRCCEUS = Fig9RunBaseline(cfg, n) },
-			func() { p.StrongUS = Fig9RunSVM(cfg, svm.Strong, n) },
-			func() { p.LazyUS = Fig9RunSVM(cfg, svm.LazyRelease, n) },
+			func() { p.StrongUS = fig9SVM(cfg, svm.Strong, n) },
+			func() { p.LazyUS = fig9SVM(cfg, svm.LazyRelease, n) },
 		)
 	}
 	runTasks(tasks)

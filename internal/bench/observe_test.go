@@ -5,10 +5,17 @@ import (
 	"encoding/json"
 	"testing"
 
+	"metalsvm/internal/apps/kvstore"
+	"metalsvm/internal/apps/laplace"
+	"metalsvm/internal/apps/matmul"
+	"metalsvm/internal/apps/taskfarm"
 	"metalsvm/internal/core"
+	"metalsvm/internal/faults"
 	"metalsvm/internal/profile"
 	"metalsvm/internal/racecheck"
+	"metalsvm/internal/scc"
 	"metalsvm/internal/svm"
+	"metalsvm/internal/svm/repldir"
 )
 
 // fullInstrumentation enables every observer at once — the strongest
@@ -22,52 +29,86 @@ func fullInstrumentation() core.Instrumentation {
 	}
 }
 
+// cellRunners is the package's harness-cell table as the tests enumerate
+// it: every exported cell runner, at sizes small enough for go test, with
+// the fixed modifiers (machine, members, fault schedule) of its cell.
+func cellRunners(t *testing.T) []struct {
+	name string
+	run  func(core.Options) Record
+} {
+	fig9 := PaperFig9(2)
+	small := ShrunkChip(nil)
+	two := scc.MultiChip(2, scc.Grid(2, 2, 2))
+	twoChip := ShrunkChip(&two)
+	kvTopo := scc.Grid(4, 4, 1)
+	lp := laplace.Params{Rows: 16, Cols: 512, Iters: 2, TopTemp: 100}
+	kp := kvstore.DefaultParams()
+	kp.Requests = 600
+	schedule := func(name string) *faults.Config {
+		fc, err := faults.ParseConfig("4," + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &fc
+	}
+	return []struct {
+		name string
+		run  func(core.Options) Record
+	}{
+		{"fig6", func(o core.Options) Record { return Fig6Cell(20, o) }},
+		{"fig7", func(o core.Options) Record { return Fig7Cell(20, 4, o) }},
+		{"table1", func(o core.Options) Record { return Table1(svm.Strong, o) }},
+		{"fig9", func(o core.Options) Record {
+			o.Topology, o.Members = &fig9.Chip, core.FirstN(2)
+			return Laplace(fig9.Params, svm.Strong, o)
+		}},
+		{"repldir", func(o core.Options) Record {
+			o.Topology, o.Members, o.ReplicatedDirectory = &small, core.FirstN(4), &repldir.Config{}
+			return Laplace(lp, svm.Strong, o)
+		}},
+		{"matmul", func(o core.Options) Record {
+			o.Topology, o.Members = &small, core.FirstN(4)
+			return Matmul(matmul.Params{N: 16}, svm.Strong, o)
+		}},
+		{"taskfarm", func(o core.Options) Record {
+			o.Topology, o.Members = &small, core.FirstN(4)
+			return Taskfarm(taskfarm.DefaultParams(), svm.LazyRelease, o)
+		}},
+		{"dir", func(o core.Options) Record {
+			o.Topology, o.Members, o.Faults = &small, core.FirstN(4), schedule("crash")
+			return DirCrash(lp, svm.Strong, o)
+		}},
+		{"partition", func(o core.Options) Record {
+			o.Topology, o.Members, o.Faults = &twoChip, []int{0, 1, 8, 9}, schedule("partition")
+			return PartitionHeal(laplace.Params{Rows: 64, Cols: 32, Iters: 2, TopTemp: 100}, o)
+		}},
+		{"kvstore", func(o core.Options) Record {
+			o.Topology = &kvTopo
+			return KVStore(kp, o)
+		}},
+	}
+}
+
 // TestObservedHarnessEquivalence is the zero-perturbation contract over the
-// figure harnesses: with metrics, profiling, tracing and race checking all
-// enabled, every representative cell reproduces the uninstrumented number
-// bit for bit.
+// cell table: with metrics, profiling, tracing and race checking all
+// enabled, every cell reproduces its uninstrumented record bit for bit.
 func TestObservedHarnessEquivalence(t *testing.T) {
-	inst := fullInstrumentation()
-
-	t.Run("fig6", func(t *testing.T) {
-		plain, obsNil := Fig6Observed(20, core.Instrumentation{})
-		if obsNil != nil {
-			t.Fatal("empty instrumentation built an observation")
-		}
-		got, obs := Fig6Observed(20, inst)
-		if got != plain {
-			t.Fatalf("instrumentation changed the result: %v vs %v", got, plain)
-		}
-		checkObservation(t, obs)
-	})
-
-	t.Run("fig7", func(t *testing.T) {
-		plain, _ := Fig7Observed(20, 4, core.Instrumentation{})
-		got, obs := Fig7Observed(20, 4, inst)
-		if got != plain {
-			t.Fatalf("instrumentation changed the result: %v vs %v", got, plain)
-		}
-		checkObservation(t, obs)
-	})
-
-	t.Run("table1", func(t *testing.T) {
-		plain := Table1(svm.Strong)
-		got, obs := Table1Observed(svm.Strong, inst)
-		if got != plain {
-			t.Fatalf("instrumentation changed the result:\nplain = %+v\ngot   = %+v", plain, got)
-		}
-		checkObservation(t, obs)
-	})
-
-	t.Run("fig9", func(t *testing.T) {
-		cfg := QuickFig9(2)
-		plain := Fig9RunSVM(cfg, svm.Strong, 2)
-		got, obs := Fig9Observed(cfg, svm.Strong, 2, inst)
-		if got != plain {
-			t.Fatalf("instrumentation changed the result: %v vs %v", got, plain)
-		}
-		checkObservation(t, obs)
-	})
+	for _, c := range cellRunners(t) {
+		t.Run(c.name, func(t *testing.T) {
+			plain := c.run(core.Options{})
+			if !plain.Completed {
+				t.Fatalf("plain run froze:\n%s", plain.Watchdog)
+			}
+			if plain.Obs != nil {
+				t.Fatal("empty instrumentation built an observation")
+			}
+			got := c.run(core.Options{Observe: fullInstrumentation()})
+			if !got.Same(plain) {
+				t.Fatalf("instrumentation changed the record:\nplain = %+v\ngot   = %+v", plain, got)
+			}
+			checkObservation(t, got.Obs)
+		})
+	}
 }
 
 // checkObservation asserts the observation's artifacts are coherent: the

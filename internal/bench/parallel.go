@@ -15,9 +15,6 @@ var pool = runner.New(0)
 // (GOMAXPROCS).
 func SetParallelism(n int) { pool = runner.New(n) }
 
-// Parallelism returns the current concurrency bound.
-func Parallelism() int { return pool.Workers() }
-
 // runTasks executes independent closures across the pool. Each closure
 // must write its result into storage owned by its own index.
 func runTasks(tasks []func()) {

@@ -1,12 +1,14 @@
-// Package bench contains the experiment harness: one runner per table and
-// figure of the paper's evaluation (Section 7), plus ablation studies of
-// the design decisions. Runners return plain data; cmd/sccbench formats it
-// like the paper's tables and series.
+// Package bench contains the experiment harness: one sweep per table and
+// figure of the paper's evaluation (Section 7), the ablation studies of the
+// design decisions, and one runner per harness cell. A cell runner takes
+// the cell's own parameters plus a core.Options whose Topology, Members,
+// Faults, Observe and ReplicatedDirectory fields act as modifiers, and
+// returns one Record. cmd/sccbench formats the results like the paper's
+// tables and series.
 package bench
 
 import (
 	"metalsvm/internal/core"
-	"metalsvm/internal/faults"
 	"metalsvm/internal/kernel"
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/pgtable"
@@ -22,43 +24,17 @@ const (
 	msgDone  = kernel.MsgUser + 11
 )
 
-// pingPongConfig describes one mailbox latency measurement.
-type pingPongConfig struct {
-	mode    mailbox.Mode
-	a, b    int   // the measuring pair
-	members []int // all activated cores (must contain a and b)
-	rounds  int
-	warmup  int
-	// chip overrides the platform (the topology-aware sweeps); nil selects
-	// benchChip(), the paper's chip with small memories.
-	chip *scc.Config
-	// noise makes the filler cores exchange mail among themselves for the
-	// whole measurement (Figure 7's third curve).
-	noise bool
-	// faults, when non-nil, runs the measurement under deterministic fault
-	// injection (the chaos harness); nil leaves the run untouched.
-	faults *faults.Config
-}
-
-// benchChip returns the default platform with small memories (the mailbox
-// experiments never touch the SVM pool).
-func benchChip() scc.Config {
-	cfg := scc.DefaultConfig()
-	cfg.PrivateMemPerCore = 1 << 20
-	cfg.SharedMem = 16 << 20
-	return cfg
-}
-
-// ShrunkChip shrinks an arbitrary topology's memories the way the harness
-// cells do (1 MiB private, ~16 MiB shared), for callers building their own
-// cells on a user-supplied topology (sccbench's -chips/-grid modes).
-func ShrunkChip(topo scc.Config) scc.Config { return benchChipOn(topo) }
-
-// benchChipOn shrinks an arbitrary topology's memories the same way,
-// keeping the shared region striped over the machine's controller count so
-// the configuration still validates.
-func benchChipOn(topo scc.Config) scc.Config {
-	cfg := topo.Normalized()
+// ShrunkChip shrinks a topology's memories the way the harness cells do
+// (1 MiB private, ~16 MiB shared — the mailbox experiments never touch the
+// SVM pool), keeping the shared region striped over the machine's
+// controller count so the configuration still validates. A nil topo
+// selects the paper chip.
+func ShrunkChip(topo *scc.Config) scc.Config {
+	cfg := scc.PaperSCC()
+	if topo != nil {
+		cfg = *topo
+	}
+	cfg = cfg.Normalized()
 	cfg.PrivateMemPerCore = 1 << 20
 	unit := uint32(cfg.Chips*len(cfg.Mesh.MemoryControllers)) * pgtable.PageSize
 	shared := uint32(16 << 20)
@@ -70,77 +46,65 @@ func benchChipOn(topo scc.Config) scc.Config {
 	return cfg
 }
 
-// runPingPong boots the member set, runs warmup+rounds ping-pongs between a
-// and b, and returns the mean half-round-trip latency in microseconds.
-func runPingPong(cfg pingPongConfig) float64 {
-	us, _ := runPingPongObserved(cfg, core.Instrumentation{})
-	return us
-}
-
-// runPingPongObserved is runPingPong with instrumentation wired in. The
-// latency is bit-identical to an uninstrumented run (the equivalence tests
-// assert this); the observation is nil when inst requests nothing.
-func runPingPongObserved(cfg pingPongConfig, inst core.Instrumentation) (float64, *core.Observation) {
-	us, _, _, obs := runPingPongFull(cfg, inst)
-	return us, obs
-}
-
-// runPingPongFull is the full harness: it additionally reports whether the
-// measurement completed (a faulty unhardened run can freeze until the
-// watchdog stops it) and exposes the cluster for the chaos harness's
-// post-mortem.
-func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bool, *kernel.Cluster, *core.Observation) {
+// pingPong boots opts.Members on a bare kernel cluster (no SVM) with the
+// given mailbox mode, runs rounds/4 warm-up and then rounds ping-pongs
+// between core 0 and peer (both must be members), and reports the mean
+// half-round-trip latency as the record's US. noise makes the filler cores
+// exchange mail among themselves for the whole measurement (Figure 7's
+// third curve). opts.Topology is the machine (not optional here); Faults
+// and Observe apply as on a Machine. Completed is false when a faulty
+// unhardened run froze before the measurement ended.
+func pingPong(mode mailbox.Mode, peer, rounds int, noise bool, opts core.Options) Record {
+	const a = 0
+	b := peer
 	eng := sim.NewEngine()
-	ccfg := benchChip()
-	if cfg.chip != nil {
-		ccfg = *cfg.chip
-	}
-	chip, err := scc.New(eng, ccfg)
+	chip, err := scc.New(eng, *opts.Topology)
 	if err != nil {
 		panic(err)
 	}
 	kcfg := kernel.DefaultConfig()
-	kcfg.Mode = cfg.mode
-	core.WireFaults(chip, &kcfg, cfg.faults)
-	cl, err := kernel.NewCluster(chip, kcfg, cfg.members)
+	kcfg.Mode = mode
+	core.WireFaults(chip, &kcfg, opts.Faults)
+	members := opts.Members
+	cl, err := kernel.NewCluster(chip, kcfg, members)
 	if err != nil {
 		panic(err)
 	}
-	obs := core.Observe(inst, chip, []*kernel.Cluster{cl}, nil)
+	obs := core.Observe(opts.Observe, chip, []*kernel.Cluster{cl}, nil)
 
 	done := false
 	var elapsed sim.Duration
 
 	pongs := 0
-	cl.Start(cfg.a, func(k *kernel.Kernel) {
+	cl.Start(a, func(k *kernel.Kernel) {
 		k.RegisterHandler(msgPong, func(k *kernel.Kernel, m mailbox.Msg) { pongs++ })
 		k.RegisterHandler(msgDone, func(k *kernel.Kernel, m mailbox.Msg) {})
 		k.RegisterHandler(msgNoise, func(k *kernel.Kernel, m mailbox.Msg) {})
 		run := func(n int) {
 			for i := 0; i < n; i++ {
-				k.Send(cfg.b, msgPing, nil)
+				k.Send(b, msgPing, nil)
 				want := pongs + 1
 				k.WaitFor(func() bool { return pongs >= want })
 			}
 		}
-		run(cfg.warmup)
+		run(rounds / 4)
 		start := k.Core().Now()
-		run(cfg.rounds)
+		run(rounds)
 		elapsed = k.Core().Now() - start
 		done = true
 		// Wake everybody that waits on the done flag.
-		for _, m := range cfg.members {
-			if m != cfg.a {
+		for _, m := range members {
+			if m != a {
 				k.Send(m, msgDone, nil)
 			}
 		}
 	})
 
 	pings := 0
-	cl.Start(cfg.b, func(k *kernel.Kernel) {
+	cl.Start(b, func(k *kernel.Kernel) {
 		k.RegisterHandler(msgPing, func(k *kernel.Kernel, m mailbox.Msg) {
 			pings++
-			k.Send(cfg.a, msgPong, nil)
+			k.Send(a, msgPong, nil)
 		})
 		k.RegisterHandler(msgDone, func(k *kernel.Kernel, m mailbox.Msg) {})
 		k.RegisterHandler(msgNoise, func(k *kernel.Kernel, m mailbox.Msg) {})
@@ -148,32 +112,23 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 	})
 
 	// Filler cores: pure idle, or pairwise noise traffic.
-	fillers := make([]int, 0, len(cfg.members))
-	for _, m := range cfg.members {
-		if m != cfg.a && m != cfg.b {
+	fillers := make([]int, 0, len(members))
+	for _, m := range members {
+		if m != a && m != b {
 			fillers = append(fillers, m)
 		}
 	}
 	for i, id := range fillers {
-		i, id := i, id
-		var partner int
-		hasPartner := cfg.noise && len(fillers) >= 2
-		if hasPartner {
-			if i%2 == 0 {
-				if i+1 < len(fillers) {
-					partner = fillers[i+1]
-				} else {
-					hasPartner = false // odd one out idles
-				}
-			} else {
-				partner = fillers[i-1]
-			}
+		// Fillers pair up (0,1), (2,3), ...; an odd one out idles.
+		partner := -1
+		if noise && i^1 < len(fillers) {
+			partner = fillers[i^1]
 		}
 		cl.Start(id, func(k *kernel.Kernel) {
 			noiseGot := 0
 			k.RegisterHandler(msgNoise, func(k *kernel.Kernel, m mailbox.Msg) { noiseGot++ })
 			k.RegisterHandler(msgDone, func(k *kernel.Kernel, m mailbox.Msg) {})
-			if !hasPartner {
+			if partner < 0 {
 				k.WaitFor(func() bool { return done })
 				return
 			}
@@ -198,8 +153,12 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 		})
 	}
 
-	eng.Run()
+	end := eng.Run()
 	eng.Shutdown()
 	obs.Finish()
-	return elapsed.Microseconds() / float64(2*cfg.rounds), done, cl, obs
+	r := postMortem(cl, obs)
+	r.US = elapsed.Microseconds() / float64(2*rounds)
+	r.EndUS = end.Microseconds()
+	r.Completed = done
+	return r
 }

@@ -57,14 +57,10 @@ func RunScale(topo scc.Config, p ScaleParams) ScaleResult {
 	}
 	lp := laplace.DefaultParams()
 	lp.Iters = iters
-	scfg := svm.DefaultConfig(p.Model)
+	opts := core.Options{Topology: &cfg, Members: members}
 
 	{
-		chip := cfg
-		m, err := core.NewMachine(core.Options{Topology: &chip, SVM: &scfg, Members: members})
-		if err != nil {
-			panic(err)
-		}
+		m := newMachine(p.Model, opts)
 		app := laplace.NewSVM(lp, laplace.SVMOptions{})
 		m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 		r := app.Result()
@@ -81,11 +77,7 @@ func RunScale(topo scc.Config, p ScaleParams) ScaleResult {
 	fp.Tasks = tasks
 
 	{
-		chip := cfg
-		m, err := core.NewMachine(core.Options{Topology: &chip, SVM: &scfg, Members: members})
-		if err != nil {
-			panic(err)
-		}
+		m := newMachine(p.Model, opts)
 		app := taskfarm.New(fp)
 		m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 		r := app.Result()

@@ -80,12 +80,12 @@ func TestScale512Replay(t *testing.T) {
 	}
 }
 
-// Fig7On must adapt its sweep and its measuring pair to the topology: on a
+// Fig7 on a topology must adapt its sweep and its measuring pair to it: on a
 // 4x4x1 grid the diameter is 6, the paper's 5-hop peer exists, and the
 // default x-axis doubles from 2 up to the 16-core total.
 func TestFig7OnShape(t *testing.T) {
 	topo := scc.Grid(4, 4, 1)
-	pts := Fig7On(topo, 40, nil)
+	pts := Fig7(40, nil, &topo)
 	wantCores := []int{2, 4, 8, 16}
 	if len(pts) != len(wantCores) {
 		t.Fatalf("sweep has %d points, want %d: %+v", len(pts), len(wantCores), pts)
@@ -108,10 +108,10 @@ func TestFig7OnShape(t *testing.T) {
 	}
 }
 
-// Fig6On spans the topology's own mesh diameter.
+// Fig6 on a topology spans the topology's own mesh diameter.
 func TestFig6OnShape(t *testing.T) {
 	topo := scc.Grid(2, 2, 2)
-	pts := Fig6On(topo, 40)
+	pts := Fig6(40, &topo)
 	if len(pts) != 3 { // hops 0, 1, 2 on a 2x2 grid
 		t.Fatalf("sweep has %d points, want 3: %+v", len(pts), pts)
 	}

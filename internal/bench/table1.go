@@ -36,28 +36,15 @@ type Table1Result struct {
 // Table1Bytes is the region size the paper uses.
 const Table1Bytes uint32 = 4 << 20
 
-// Table1 runs the synthetic benchmark for one model.
-func Table1(model svm.Model) Table1Result {
-	res, _ := Table1Observed(model, core.Instrumentation{})
-	return res
-}
-
-// Table1Observed is Table1 with instrumentation wired into the machine. The
-// result is bit-identical to an uninstrumented run (the equivalence tests
-// assert this); the observation is nil when inst requests nothing.
-func Table1Observed(model svm.Model, inst core.Instrumentation) (Table1Result, *core.Observation) {
-	scfg := svm.DefaultConfig(model)
-	ccfg := benchChip()
-	ccfg.PrivateMemPerCore = 1 << 20
-	m, err := core.NewMachine(core.Options{
-		Chip:    &ccfg,
-		SVM:     &scfg,
-		Members: []int{0, 30},
-		Observe: inst,
-	})
-	if err != nil {
-		panic(err)
-	}
+// Table1 runs the synthetic benchmark for one model on cores 0 and 30 and
+// returns the result in the record's Table1 field. opts.Topology nil
+// selects the paper chip with shrunk memories; opts.Members and opts.SVM
+// are ignored (the pair and the model define the benchmark).
+func Table1(model svm.Model, opts core.Options) Record {
+	chip := ShrunkChip(opts.Topology)
+	opts.Topology = &chip
+	opts.Members = []int{0, 30}
+	m := newMachine(model, opts)
 	res := Table1Result{Model: model}
 	pages := Table1Bytes / pgtable.PageSize
 
@@ -97,16 +84,19 @@ func Table1Observed(model svm.Model, inst core.Instrumentation) (Table1Result, *
 			env.K.Barrier()
 		},
 	}
-	m.Run(mains)
-	return res, m.Observability()
+	end := m.Run(mains)
+	r := postMortem(m.Cluster, m.Observability())
+	r.EndUS = end.Microseconds()
+	r.Table1 = res
+	return r
 }
 
 // Table1Both runs the benchmark for both models (the paper's two columns),
 // as two independent simulations across the host pool.
 func Table1Both() (strong, lazy Table1Result) {
 	runTasks([]func(){
-		func() { strong = Table1(svm.Strong) },
-		func() { lazy = Table1(svm.LazyRelease) },
+		func() { strong = Table1(svm.Strong, core.Options{}).Table1 },
+		func() { lazy = Table1(svm.LazyRelease, core.Options{}).Table1 },
 	})
 	return strong, lazy
 }

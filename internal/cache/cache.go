@@ -247,19 +247,6 @@ func (c *Cache) WriteUpdate(paddr uint32, src []byte) bool {
 	return false
 }
 
-// FlushDirty drains every dirty line through fn (write-back to the next
-// level) and marks them clean. Used when another agent must observe memory
-// (host-side extraction, explicit flush routines).
-func (c *Cache) FlushDirty(fn func(lineAddr uint32, data []byte)) {
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.valid && l.dirty {
-			fn(l.tag, l.data[:])
-			l.dirty = false
-		}
-	}
-}
-
 // InvalidateMPBT drops every MPBT-tagged line: the CL1INVMB instruction.
 func (c *Cache) InvalidateMPBT() {
 	for i := range c.lines {

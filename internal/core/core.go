@@ -40,12 +40,8 @@ import (
 type Options struct {
 	// Topology selects the machine shape through the validated topology
 	// API — scc.PaperSCC, scc.Grid, scc.MultiChip, or a hand-built
-	// scc.Config. Nil keeps the paper's 48-core chip. Mutually exclusive
-	// with Chip.
+	// scc.Config. Nil keeps the paper's 48-core chip.
 	Topology *scc.Config
-	// Chip overrides the platform configuration. It predates Topology and
-	// is retained for existing callers; new code should set Topology.
-	Chip *scc.Config
 	// Kernel overrides the kernel configuration (mailbox mode, timer).
 	Kernel *kernel.Config
 	// SVM overrides the SVM configuration (consistency model, calibration).
@@ -167,13 +163,8 @@ func (m *Machine) Observability() *Observation { return m.obs }
 func NewMachine(opts Options) (*Machine, error) {
 	eng := sim.NewEngine()
 	ccfg := scc.DefaultConfig()
-	switch {
-	case opts.Topology != nil && opts.Chip != nil:
-		return nil, fmt.Errorf("core: set Options.Topology or Options.Chip, not both")
-	case opts.Topology != nil:
+	if opts.Topology != nil {
 		ccfg = *opts.Topology
-	case opts.Chip != nil:
-		ccfg = *opts.Chip
 	}
 	chip, err := scc.New(eng, ccfg)
 	if err != nil {

@@ -27,7 +27,7 @@ func TestFirstN(t *testing.T) {
 }
 
 func TestMachineDefaultsBootAllCores(t *testing.T) {
-	m, err := NewMachine(Options{Chip: smallChip()})
+	m, err := NewMachine(Options{Topology: smallChip()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +42,9 @@ func TestMachineDefaultsBootAllCores(t *testing.T) {
 func TestMachineRunAllSharedMemory(t *testing.T) {
 	scfg := svm.DefaultConfig(svm.LazyRelease)
 	m, err := NewMachine(Options{
-		Chip:    smallChip(),
-		SVM:     &scfg,
-		Members: []int{0, 7, 30},
+		Topology: smallChip(),
+		SVM:      &scfg,
+		Members:  []int{0, 7, 30},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestMachineRunAllSharedMemory(t *testing.T) {
 }
 
 func TestMachineRunPerCoreMains(t *testing.T) {
-	m, err := NewMachine(Options{Chip: smallChip(), Members: []int{0, 1}})
+	m, err := NewMachine(Options{Topology: smallChip(), Members: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMachineRunPerCoreMains(t *testing.T) {
 }
 
 func TestMachineMissingMainPanics(t *testing.T) {
-	m, err := NewMachine(Options{Chip: smallChip(), Members: []int{0, 1}})
+	m, err := NewMachine(Options{Topology: smallChip(), Members: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMachineMissingMainPanics(t *testing.T) {
 }
 
 func TestMachineDoubleRunPanics(t *testing.T) {
-	m, err := NewMachine(Options{Chip: smallChip(), Members: []int{0}})
+	m, err := NewMachine(Options{Topology: smallChip(), Members: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMachineDoubleRunPanics(t *testing.T) {
 }
 
 func TestMachineInvalidMembers(t *testing.T) {
-	if _, err := NewMachine(Options{Chip: smallChip(), Members: []int{5, 3}}); err == nil {
+	if _, err := NewMachine(Options{Topology: smallChip(), Members: []int{5, 3}}); err == nil {
 		t.Fatal("unsorted members accepted")
 	}
 }

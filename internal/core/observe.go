@@ -230,6 +230,29 @@ func (o *Observation) harvest() *metrics.Snapshot {
 		hops.ObserveN(uint64(h), n)
 	}
 
+	// Per-core counters range over every core of the chip: a core that
+	// never booted adds zeros, and a machine without kernel clusters (the
+	// RCCE baseline) is covered too.
+	for id := 0; id < o.chip.Cores(); id++ {
+		c := o.chip.Core(id)
+		cs := c.Stats()
+		r.Counter("cpu.loads").Add(cs.Loads)
+		r.Counter("cpu.stores").Add(cs.Stores)
+		r.Counter("cpu.faults").Add(cs.Faults)
+		r.Counter("cpu.irqs").Add(cs.IRQs)
+		r.Counter("cpu.wcb_read_stalls").Add(cs.WCBROBs)
+		r.Counter("cpu.tlb_hits").Add(cs.TLBHits)
+		r.Counter("cpu.tlb_misses").Add(cs.TLBMisses)
+		harvestCache(r, "cache.l1", c.L1().Stats())
+		if c.L2() != nil {
+			harvestCache(r, "cache.l2", c.L2().Stats())
+		}
+		ws := c.WCB().Stats()
+		r.Counter("wcb.writes").Add(ws.Writes)
+		r.Counter("wcb.flushes").Add(ws.Flushes)
+		r.Counter("wcb.full_lines").Add(ws.FullLines)
+		r.Counter("wcb.read_stalls").Add(ws.ReadStalls)
+	}
 	for _, cl := range o.clusters {
 		mbs := cl.Mailbox().Stats()
 		r.Counter("mailbox.sends").Add(mbs.Sends)
@@ -244,24 +267,6 @@ func (o *Observation) harvest() *metrics.Snapshot {
 		r.Counter("mailbox.short_frames").Add(mbs.ShortFrames)
 		r.Counter("mailbox.dead_drops").Add(mbs.DeadDrops)
 		for _, id := range cl.Members() {
-			c := o.chip.Core(id)
-			cs := c.Stats()
-			r.Counter("cpu.loads").Add(cs.Loads)
-			r.Counter("cpu.stores").Add(cs.Stores)
-			r.Counter("cpu.faults").Add(cs.Faults)
-			r.Counter("cpu.irqs").Add(cs.IRQs)
-			r.Counter("cpu.wcb_read_stalls").Add(cs.WCBROBs)
-			r.Counter("cpu.tlb_hits").Add(cs.TLBHits)
-			r.Counter("cpu.tlb_misses").Add(cs.TLBMisses)
-			harvestCache(r, "cache.l1", c.L1().Stats())
-			if c.L2() != nil {
-				harvestCache(r, "cache.l2", c.L2().Stats())
-			}
-			ws := c.WCB().Stats()
-			r.Counter("wcb.writes").Add(ws.Writes)
-			r.Counter("wcb.flushes").Add(ws.Flushes)
-			r.Counter("wcb.full_lines").Add(ws.FullLines)
-			r.Counter("wcb.read_stalls").Add(ws.ReadStalls)
 			if k := cl.Kernel(id); k != nil {
 				ks := k.Stats()
 				r.Counter("kernel.timer_ticks").Add(ks.TimerTicks)

@@ -18,7 +18,7 @@ func observedWorkload(t *testing.T, inst Instrumentation) (sim.Time, *Machine) {
 	t.Helper()
 	scfg := svm.DefaultConfig(svm.Strong)
 	m, err := NewMachine(Options{
-		Chip: smallChip(), SVM: &scfg, Members: []int{0, 47}, Observe: inst,
+		Topology: smallChip(), SVM: &scfg, Members: []int{0, 47}, Observe: inst,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +110,17 @@ func TestMetricsSnapshotHarvest(t *testing.T) {
 	if s.Counter("svm.owner_requests") == 0 {
 		t.Error("ownership steal produced no owner requests")
 	}
+	// The per-core counters range over every core of the chip; the 46
+	// cores that never booted add zeros, so the totals are the members'.
+	var loads, hits uint64
+	for _, id := range m.Cluster.Members() {
+		loads += m.Chip.Core(id).Stats().Loads
+		hits += m.Chip.Core(id).L1().Stats().Hits
+	}
+	if s.Counter("cpu.loads") != loads || s.Counter("cache.l1.hits") != hits {
+		t.Errorf("cpu.loads/cache.l1.hits = %d/%d, members' totals %d/%d",
+			s.Counter("cpu.loads"), s.Counter("cache.l1.hits"), loads, hits)
+	}
 }
 
 // TestPerfettoExportFromMachine: the export is valid JSON with events.
@@ -137,7 +148,7 @@ func TestPerfettoExportFromMachine(t *testing.T) {
 func TestRaceWiresThroughObservation(t *testing.T) {
 	scfg := svm.DefaultConfig(svm.Strong)
 	m, err := NewMachine(Options{
-		Chip: smallChip(), SVM: &scfg, Members: []int{0, 1},
+		Topology: smallChip(), SVM: &scfg, Members: []int{0, 1},
 		Observe: Instrumentation{Race: &racecheck.Config{}},
 	})
 	if err != nil {

@@ -18,7 +18,7 @@ func tracedWorkload(t *testing.T, buf *trace.Buffer) sim.Time {
 	scfg := svm.DefaultConfig(svm.Strong)
 	// Cores 0 and 47 sit in different quadrants, so the migration below
 	// really moves the frame between memory controllers.
-	m, err := NewMachine(Options{Chip: smallChip(), SVM: &scfg, Members: []int{0, 47}})
+	m, err := NewMachine(Options{Topology: smallChip(), SVM: &scfg, Members: []int{0, 47}})
 	if err != nil {
 		t.Fatal(err)
 	}

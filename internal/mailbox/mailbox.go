@@ -714,20 +714,6 @@ func (s *System) Check(receiver, sender int) (Msg, bool) {
 	return msg, ok
 }
 
-// HasMail peeks at a slot without consuming (no signal effects); it charges
-// the check cost.
-func (s *System) HasMail(receiver, sender int) bool {
-	s.checkPair(receiver, sender)
-	core := s.chip.Core(receiver)
-	s.prof.EnterIfIdle(receiver, profile.MailboxWait, core.Proc().LocalTime())
-	core.Sync()
-	s.chip.CheckMailCost(receiver)
-	s.stats.Checks++
-	full := s.chip.MPB().Byte(receiver, slotOff(sender)) != 0
-	s.prof.Exit(receiver, core.Proc().LocalTime())
-	return full
-}
-
 // WaitAnySignal returns the signal fired whenever any mail is deposited for
 // the receiver — the poll-mode idle loop parks on it.
 func (s *System) WaitAnySignal(receiver int) *sim.Signal { return s.anyFull[receiver] }
@@ -747,13 +733,6 @@ func (s *System) NoteCrashed(id int, at sim.Time) {
 		s.fullSig[s.pair(other, id)].Fire(at) // waiters on a reply from id
 		s.anyFull[other].Fire(at)             // kernel WaitFor scans
 	}
-}
-
-// FullSignal returns the per-pair deposit signal (kernels waiting for a
-// specific reply park on it).
-func (s *System) FullSignal(receiver, sender int) *sim.Signal {
-	s.checkPair(receiver, sender)
-	return s.fullSig[s.pair(receiver, sender)]
 }
 
 // DumpInFlight writes the protocol's in-flight state — pending unacked

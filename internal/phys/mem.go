@@ -63,9 +63,6 @@ func (m *Mem) Size() uint64 { return m.size }
 // FrameSize returns the frame size in bytes.
 func (m *Mem) FrameSize() uint32 { return m.frameSize }
 
-// Frames returns the total number of frames.
-func (m *Mem) Frames() uint32 { return uint32(m.size / uint64(m.frameSize)) }
-
 func (m *Mem) check(paddr uint32, n int) {
 	if uint64(paddr)+uint64(n) > m.size {
 		panic(fmt.Sprintf("phys: access [%#x,+%d) beyond memory size %#x", paddr, n, m.size))

@@ -29,10 +29,10 @@ func newMachine(t *testing.T, model svm.Model, members []int) *core.Machine {
 	t.Helper()
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Chip:    smallChip(),
-		SVM:     &scfg,
-		Members: members,
-		Observe: core.Instrumentation{Race: &racecheck.Config{}},
+		Topology: smallChip(),
+		SVM:      &scfg,
+		Members:  members,
+		Observe:  core.Instrumentation{Race: &racecheck.Config{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +195,10 @@ func TestCheckerDoesNotPerturbTime(t *testing.T) {
 	run := func(race *racecheck.Config) (sim.Time, float64) {
 		scfg := svm.DefaultConfig(svm.LazyRelease)
 		m, err := core.NewMachine(core.Options{
-			Chip:    smallChip(),
-			SVM:     &scfg,
-			Members: []int{0, 1, 2},
-			Observe: core.Instrumentation{Race: race},
+			Topology: smallChip(),
+			SVM:      &scfg,
+			Members:  []int{0, 1, 2},
+			Observe:  core.Instrumentation{Race: race},
 		})
 		if err != nil {
 			t.Fatal(err)

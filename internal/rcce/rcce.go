@@ -39,7 +39,6 @@ const (
 type Comm struct {
 	chip  *scc.Chip
 	cores []int
-	rank  map[int]int
 
 	flagOff  int // receiver-side flag array, indexed by sender rank
 	slotOff  int
@@ -90,7 +89,6 @@ func New(chip *scc.Chip, cores []int) (*Comm, error) {
 	c := &Comm{
 		chip:         chip,
 		cores:        append([]int(nil), cores...),
-		rank:         rank,
 		flagOff:      chip.GeneralMPBOffset(),
 		slotOff:      chip.GeneralMPBOffset() + flagArea,
 		slotSize:     slot,
@@ -109,14 +107,6 @@ func (c *Comm) Size() int { return len(c.cores) }
 
 // CoreOf returns the core running rank r.
 func (c *Comm) CoreOf(r int) int { return c.cores[r] }
-
-// RankOf returns the rank of a core (-1 if not participating).
-func (c *Comm) RankOf(core int) int {
-	if r, ok := c.rank[core]; ok {
-		return r
-	}
-	return -1
-}
 
 // ChunkSize returns the staging slot size (bytes per chunk).
 func (c *Comm) ChunkSize() int { return c.slotSize }

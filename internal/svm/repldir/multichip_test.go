@@ -116,7 +116,7 @@ func TestMultiChipManagerResidency(t *testing.T) {
 
 // Crashing both group primaries mid-run must fail each group over to its
 // backup and still produce the exact reference checksum. The crash instant
-// comes from a crash-free calibration run, as in Fig9CrashChaos.
+// comes from a crash-free calibration run, as in bench.DirCrash.
 func TestMultiChipFailover(t *testing.T) {
 	cal, calM := runMultiChipLaplace(t, svm.Strong, nil)
 	if want := laplace.ReferenceChecksum(twoChipParams()); cal.Checksum != want {

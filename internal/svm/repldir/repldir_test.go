@@ -37,10 +37,10 @@ func runLaplace(t *testing.T, model svm.Model, n int, replicated bool, fc *fault
 	chip := testChip()
 	scfg := svm.DefaultConfig(model)
 	opts := core.Options{
-		Chip:    &chip,
-		SVM:     &scfg,
-		Members: core.FirstN(n),
-		Faults:  fc,
+		Topology: &chip,
+		SVM:      &scfg,
+		Members:  core.FirstN(n),
+		Faults:   fc,
 	}
 	if replicated {
 		opts.ReplicatedDirectory = &repldir.Config{}
@@ -109,10 +109,9 @@ func TestCrashFailoverAndReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	lp := testParams()
-	lcfg := bench.Fig9Config{Params: lp, Chip: testChip()}
 	want := laplace.ReferenceChecksum(lp)
 	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
-		r := bench.Fig9CrashChaos(lcfg, model, 4, &fc)
+		r := crashRun(lp, model, &fc)
 		if !r.Completed {
 			t.Fatalf("%v froze:\n%s", model, r.Watchdog)
 		}
@@ -140,11 +139,10 @@ func TestCrashFailoverAndReclaim(t *testing.T) {
 // here as a watchdog report.
 func TestCrashSeedSweepCompletes(t *testing.T) {
 	lp := testParams()
-	lcfg := bench.Fig9Config{Params: lp, Chip: testChip()}
 	want := laplace.ReferenceChecksum(lp)
 	for seed := uint64(1); seed <= 6; seed++ {
 		fc := faults.Config{Seed: seed, Spec: mustPreset(t, "crash")}
-		r := bench.Fig9CrashChaos(lcfg, svm.Strong, 4, &fc)
+		r := crashRun(lp, svm.Strong, &fc)
 		if !r.Completed {
 			t.Fatalf("seed %d froze:\n%s", seed, r.Watchdog)
 		}
@@ -152,6 +150,12 @@ func TestCrashSeedSweepCompletes(t *testing.T) {
 			t.Fatalf("seed %d checksum %v / audit %v, want %v", seed, r.Sum, r.AuditSum, want)
 		}
 	}
+}
+
+// crashRun is the crash cell on four workers of the test chip.
+func crashRun(p laplace.Params, model svm.Model, fc *faults.Config) bench.Record {
+	chip := testChip()
+	return bench.DirCrash(p, model, core.Options{Topology: &chip, Members: core.FirstN(4), Faults: fc})
 }
 
 func mustPreset(t *testing.T, name string) faults.Spec {
@@ -169,11 +173,9 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcfg := bench.Fig9Config{Params: testParams(), Chip: testChip()}
-	a := bench.Fig9CrashChaos(lcfg, svm.Strong, 4, &fc)
-	b := bench.Fig9CrashChaos(lcfg, svm.Strong, 4, &fc)
-	if a.EndUS != b.EndUS || a.Sum != b.Sum || a.AuditSum != b.AuditSum ||
-		a.Dir != b.Dir || a.Faults != b.Faults {
+	a := crashRun(testParams(), svm.Strong, &fc)
+	b := crashRun(testParams(), svm.Strong, &fc)
+	if !a.Same(b) {
 		t.Fatalf("same seed diverged:\n%+v\nvs\n%+v", a, b)
 	}
 }
@@ -181,8 +183,13 @@ func TestCrashReplayDeterminism(t *testing.T) {
 // The directory's protocol counters must surface in the metrics snapshot as
 // dir.* counters, consistent with the directory's own stats.
 func TestMetricsSurfaceDirCounters(t *testing.T) {
-	lcfg := bench.Fig9Config{Params: testParams(), Chip: testChip()}
-	_, obs := bench.Fig9DirObserved(lcfg, svm.Strong, 4, core.Instrumentation{Metrics: true})
+	chip := testChip()
+	obs := bench.Laplace(testParams(), svm.Strong, core.Options{
+		Topology:            &chip,
+		Members:             core.FirstN(4),
+		ReplicatedDirectory: &repldir.Config{},
+		Observe:             core.Instrumentation{Metrics: true},
+	}).Obs
 	if obs == nil {
 		t.Fatal("no observation despite Metrics: true")
 	}
@@ -233,7 +240,7 @@ func TestOrphanedHandoffRecovers(t *testing.T) {
 		chip := testChip()
 		scfg := svm.DefaultConfig(svm.Strong)
 		m, err := core.NewMachine(core.Options{
-			Chip:                &chip,
+			Topology:            &chip,
 			SVM:                 &scfg,
 			Members:             core.FirstN(3),
 			Faults:              fc,

@@ -296,9 +296,6 @@ func (s *System) Config() Config { return s.cfg }
 // Workers returns the SVM collective participants (see Config.Workers).
 func (s *System) Workers() []int { return s.workers }
 
-// Directory returns the ownership directory in use.
-func (s *System) Directory() OwnerDirectory { return s.dir }
-
 // SetDirectory replaces the ownership directory. Must be called before any
 // kernel attaches; the replicated directory installs itself through this.
 func (s *System) SetDirectory(d OwnerDirectory) {
@@ -322,9 +319,6 @@ func (s *System) Handle(core int) *Handle { return s.handles[core] }
 
 // Cluster returns the owning cluster.
 func (s *System) Cluster() *kernel.Cluster { return s.cl }
-
-// SharedPages returns the number of shared pages the system manages.
-func (s *System) SharedPages() uint32 { return s.chip.Layout().SharedFrames() }
 
 // pageIndex converts a shared virtual address to its page index.
 func (s *System) pageIndex(vaddr uint32) uint32 {
