@@ -111,6 +111,31 @@ func TestFailedVerificationExits1(t *testing.T) {
 	}
 }
 
+// TestBadFlagsExit2: a -chips below 1, a -grid with trailing input and the
+// retired host-timing flags are rejected with exit 2 and a message, not run
+// on some other machine.
+func TestBadFlagsExit2(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string // in the stderr message
+	}{
+		{[]string{"-chips", "-4", "fig6"}, "-chips -4: want at least 1"},
+		{[]string{"-chips", "0", "fig6"}, "-chips 0: want at least 1"},
+		{[]string{"-grid", "2x2x1x7", "fig6"}, `-grid "2x2x1x7": want WxHxC`},
+		{[]string{"-grid", "2x2x1 ", "fig6"}, `-grid "2x2x1 ": want WxHxC`},
+		{[]string{"-grid", "2x2", "fig6"}, `-grid "2x2": want WxHxC`},
+		{[]string{"-bench"}, "flag provided but not defined: -bench"},
+		{[]string{"-parallel", "1", "fig6"}, "flag provided but not defined: -parallel"},
+	} {
+		var code int
+		msg := captureStderr(t, func() { code = run(c.args) })
+		if code != 2 || !strings.Contains(msg, c.want) {
+			t.Errorf("sccbench %s: exit %d, stderr %q; want exit 2 and %q",
+				strings.Join(c.args, " "), code, msg, c.want)
+		}
+	}
+}
+
 // TestSanitizeHonorsTopology: -sanitize under -chips/-grid runs the
 // application cells on the small chip-spanning member set of that machine,
 // exactly as -check does, and skips the paper-chip harness cells.
@@ -120,7 +145,7 @@ func TestSanitizeHonorsTopology(t *testing.T) {
 	}
 	var code int
 	out := captureStdout(t, func() {
-		code = run([]string{"-chips", "2", "-grid", "2x2x2", "-parallel", "2", "-sanitize"})
+		code = run([]string{"-chips", "2", "-grid", "2x2x2", "-sanitize"})
 	})
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)

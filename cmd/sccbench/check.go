@@ -57,13 +57,13 @@ func verdict(out io.Writer, label string, f findings) bool {
 // own buffer.
 type job func(io.Writer) bool
 
-// runJobs fans the jobs across the host pool and prints their buffers in
-// job order, so the output is identical at any parallelism. It reports
-// whether every job passed.
-func runJobs(workers int, jobs []job) bool {
+// runJobs fans the jobs across the host pool (GOMAXPROCS wide) and prints
+// their buffers in job order, so the output is identical at any width. It
+// reports whether every job passed.
+func runJobs(jobs []job) bool {
 	outs := make([]bytes.Buffer, len(jobs))
 	oks := make([]bool, len(jobs))
-	runner.New(workers).Run(len(jobs), func(i int) { oks[i] = jobs[i](&outs[i]) })
+	runner.Run(len(jobs), func(i int) { oks[i] = jobs[i](&outs[i]) })
 	ok := true
 	for i := range jobs {
 		os.Stdout.Write(outs[i].Bytes())
@@ -127,7 +127,7 @@ func checkedRun(out io.Writer, label string, c *cell, x trial, read func(*core.O
 // with the happens-before race checker enabled, then (on the paper chip)
 // the two-domain cell and the zero-perturbation cells, and reports the
 // verdicts. It returns false if any workload raced or any check failed.
-func runCheck(workers int, topo *scc.Config) bool {
+func runCheck(topo *scc.Config) bool {
 	fmt.Println("racecheck: happens-before analysis of the shipped workloads")
 	if topo != nil {
 		fmt.Printf("racecheck: %d chip(s), %d cores activated\n", topo.Normalized().Chips, len(smokeMembers(*topo)))
@@ -136,7 +136,7 @@ func runCheck(workers int, topo *scc.Config) bool {
 	if topo == nil {
 		jobs = append(jobs, checkDomains, checkPerturbation)
 	}
-	ok := runJobs(workers, jobs)
+	ok := runJobs(jobs)
 	if ok {
 		fmt.Println("racecheck: all workloads race-free")
 	}
@@ -148,12 +148,12 @@ func runCheck(workers int, topo *scc.Config) bool {
 // Eraser-style locksets and the lock-order graph — then the mailbox harness
 // cells (fig6/fig7), proving the hooks stay quiet on non-SVM traffic, and
 // reports the verdicts. It returns false if any cell reported a finding.
-func runSanitize(workers int, topo *scc.Config) bool {
+func runSanitize(topo *scc.Config) bool {
 	fmt.Println("sancheck: shadow-memory, lockset and lock-order analysis of the shipped workloads")
 	if topo != nil {
 		fmt.Printf("sancheck: %d chip(s), %d cores activated\n", topo.Normalized().Chips, len(smokeMembers(*topo)))
 	}
-	ok := runJobs(workers, checkedCells(modeSanitize, topo, core.Instrumentation{Sanitize: &sancheck.Config{}}, sanFindings, true))
+	ok := runJobs(checkedCells(modeSanitize, topo, core.Instrumentation{Sanitize: &sancheck.Config{}}, sanFindings, true))
 	if ok {
 		fmt.Println("sancheck: all workloads clean")
 	}

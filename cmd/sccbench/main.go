@@ -20,15 +20,13 @@
 // cells of one table (cells.go) under their own modifiers: the race
 // checker, the sanitizer suite, a fault schedule, or the observers.
 //
-// Independent simulations (one per sweep point) fan out across host CPUs
-// by default; -parallel 1 forces serial execution. The results are
+// Independent simulations (one per sweep point) fan out across GOMAXPROCS
+// host workers; GOMAXPROCS=1 runs them serially. The results are
 // bit-identical either way — each simulation is a pure function of its
-// configuration. -json emits machine-readable results instead of tables,
-// and -bench runs the quick experiments serially and in parallel, checks
-// that both agree bit for bit, and writes BENCH_sim.json. -cpuprofile and
-// -memprofile write standard pprof profiles of the host process. A failed
-// verification (a checksum, an audit, a checker) exits 1, with or without
-// -json.
+// configuration. -json emits machine-readable results instead of tables.
+// -cpuprofile and -memprofile write standard pprof profiles of the host
+// process. A failed verification (a checksum, an audit, a checker) exits
+// 1, with or without -json.
 package main
 
 import (
@@ -108,15 +106,12 @@ func run(args []string) int {
 	fullLaplace := fs.Bool("full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
 	check := fs.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
 	sanitize := fs.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
-	baseline := fs.Bool("baseline", false, "with -bench: require simulated results to match the committed BENCH_sim.json bit for bit")
 	chaos := fs.String("chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
 	kvRequests := fs.Int("kv-requests", 20000, "with the kvstore command: total requests across all client cores")
 	kvSeed := fs.Uint64("kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
-	parallel := fs.Int("parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
 	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write a host heap profile to `file` at exit")
 	jsonOut := fs.Bool("json", false, "emit results as JSON instead of tables")
-	benchMode := fs.Bool("bench", false, "run the quick experiments serially and on the parallel runner, verify both agree bit-exactly, and write BENCH_sim.json")
 	metricsFlag := fs.Bool("metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
 	profileFlag := fs.Bool("profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
 	perfettoOut := fs.String("perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
@@ -131,7 +126,6 @@ func run(args []string) int {
 			names(enumerate(modeRace|modePerturb|modeSanitize, nil), ", "))
 		fmt.Fprintf(w, "       sccbench [-chips N -grid WxHxC] -chaos seed[,spec]  (cells: %s)\n",
 			names(enumerate(modeChaos, nil), ", "))
-		fmt.Fprintf(w, "       sccbench -bench [-baseline]\n")
 		fmt.Fprintf(w, "       sccbench -metrics|-profile|-perfetto out.json %s|all\n",
 			names(enumerate(modeObserve, nil), "|"))
 		fs.PrintDefaults()
@@ -175,22 +169,14 @@ func run(args []string) int {
 			}
 		}()
 	}
-	bench.SetParallelism(*parallel)
 	if *check {
-		return exitCode(runCheck(*parallel, topo))
+		return exitCode(runCheck(topo))
 	}
 	if *sanitize {
-		return exitCode(runSanitize(*parallel, topo))
+		return exitCode(runSanitize(topo))
 	}
 	if *chaos != "" {
 		return runChaos(*chaos, *rounds, *iters, topo, *jsonOut)
-	}
-	if *benchMode {
-		if topo != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: -bench measures the committed paper-chip baseline; drop -chips/-grid\n")
-			return 2
-		}
-		return runBench(*parallel, *baseline)
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -267,13 +253,18 @@ func exitCode(ok bool) int {
 // flags. Both at their defaults returns nil — the stock paper chip, leaving
 // every legacy code path untouched.
 func parseTopology(chips int, grid string) (*scc.Config, error) {
-	if chips <= 1 && grid == "" {
+	if chips < 1 {
+		return nil, fmt.Errorf("-chips %d: want at least 1", chips)
+	}
+	if chips == 1 && grid == "" {
 		return nil, nil
 	}
 	base := scc.PaperSCC()
 	if grid != "" {
 		var w, h, c int
-		if n, err := fmt.Sscanf(grid, "%dx%dx%d", &w, &h, &c); n != 3 || err != nil {
+		// The round trip rejects trailing input, which Sscanf ignores.
+		if n, err := fmt.Sscanf(grid, "%dx%dx%d", &w, &h, &c); n != 3 || err != nil ||
+			fmt.Sprintf("%dx%dx%d", w, h, c) != grid {
 			return nil, fmt.Errorf("-grid %q: want WxHxC, e.g. 8x8x2", grid)
 		}
 		base = scc.Grid(w, h, c)

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"metalsvm/internal/pgtable"
 	"metalsvm/internal/svm"
 )
 
@@ -240,5 +241,57 @@ func TestExperimentsDeterministic(t *testing.T) {
 	f9b := Fig9(cfg)
 	if f9a[0] != f9b[0] {
 		t.Fatalf("Fig9 nondeterministic: %+v vs %+v", f9a[0], f9b[0])
+	}
+}
+
+// TestSimulatedBaseline pins the simulated time of three quick experiments
+// to committed values, bit for bit. Simulated time is a pure function of
+// the configuration, so any change to these sums is a change to the model:
+// if it is intended, update the value here in the same commit and say why.
+// The sums add up every reported latency of the sweep (for Table 1, each
+// per-page cost times the region's pages), so a drift in any one point
+// shows.
+func TestSimulatedBaseline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("simulated baseline skipped under the race detector (the same harnesses run race-enabled in TestParallelRunnerEquivalence)")
+	}
+	cases := []struct {
+		name string
+		run  func() float64
+		want float64
+	}{
+		{"fig6", func() float64 {
+			const rounds = 50
+			us := 0.0
+			for _, p := range Fig6(rounds, nil) {
+				us += (p.PollingUS + p.IPIUS) * rounds
+			}
+			return us
+		}, 642.288},
+		{"table1", func() float64 {
+			s, l := Table1Both()
+			pages := float64(Table1Bytes / pgtable.PageSize)
+			us := 0.0
+			for _, m := range []Table1Result{s, l} {
+				us += m.AllocUS + (m.PhysAllocUS+m.MapUS+m.RetrieveUS)*pages
+			}
+			return us
+		}, 253995.23575999998},
+		{"fig9-quick", func() float64 {
+			cfg := PaperFig9(3)
+			cfg.CoreCounts = []int{4, 8}
+			us := 0.0
+			for _, p := range Fig9(cfg) {
+				us += p.IRCCEUS + p.StrongUS + p.LazyUS
+			}
+			return us
+		}, 203264.00402},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.run(); got != c.want {
+				t.Errorf("simulated_us = %v, want %v bit for bit: the simulation drifted", got, c.want)
+			}
+		})
 	}
 }

@@ -2,15 +2,16 @@ package bench
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 // TestParallelRunnerEquivalence is the bit-exactness contract of the
-// host-parallel runner: for every harness, one simulation at a time and
-// four simulations side by side must produce deep-equal results, down to
-// the last simulated picosecond. Under `go test -race` this doubles as the
-// race test of the parallel runner: four workers drive whole simulations
-// concurrently.
+// host-parallel runner: for every harness, one simulation at a time
+// (GOMAXPROCS=1) and four simulations side by side (GOMAXPROCS=4) must
+// produce deep-equal results, down to the last simulated picosecond. Under
+// `go test -race` this doubles as the race test of the parallel runner:
+// four workers drive whole simulations concurrently.
 func TestParallelRunnerEquivalence(t *testing.T) {
 	harnesses := []struct {
 		name string
@@ -32,13 +33,13 @@ func TestParallelRunnerEquivalence(t *testing.T) {
 			return []float64{with, without}
 		}},
 	}
-	defer SetParallelism(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, h := range harnesses {
 		t.Run(h.name, func(t *testing.T) {
-			SetParallelism(1)
+			runtime.GOMAXPROCS(1)
 			serial := h.run()
 
-			SetParallelism(4)
+			runtime.GOMAXPROCS(4)
 			par := h.run()
 			if !reflect.DeepEqual(serial, par) {
 				t.Errorf("parallel run diverges from serial:\nserial   = %+v\nparallel = %+v", serial, par)

@@ -10,10 +10,9 @@
 //
 // This package lives on the HOST side of the simulator boundary and is
 // annotated accordingly: the //metalsvm:host-parallel directive below tells
-// the simdet analyzer that go statements and host-clock reads are
-// deliberate here. The annotation is itself rejected inside the core
-// simulation packages, so it cannot be used to smuggle host concurrency
-// into the model.
+// the simdet analyzer that its go statements are deliberate. The
+// annotation is itself rejected inside the core simulation packages, so it
+// cannot be used to smuggle host concurrency into the model.
 //
 //metalsvm:host-parallel
 package runner
@@ -22,41 +21,21 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Pool bounds the number of simulations in flight at once.
-type Pool struct {
-	workers int
-}
-
-// New returns a pool running at most workers simulations concurrently.
-// workers <= 0 selects GOMAXPROCS, the host's available parallelism.
-func New(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{workers: workers}
-}
-
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
-// Run invokes fn(i) for every i in [0, n), spreading calls across the
-// pool's workers. Each fn(i) must be independent of the others; callers
-// keep results deterministic by writing fn(i)'s output to slot i of a
+// Run invokes fn(i) for every i in [0, n), spreading calls across at most
+// GOMAXPROCS worker goroutines (GOMAXPROCS=1 runs them serially in index
+// order). Each fn(i) must be independent of the others; callers keep
+// results deterministic by writing fn(i)'s output to slot i of a
 // pre-sized slice. Run returns once every call finished. If any fn
 // panicked, Run re-panics with the first captured value after all workers
 // have drained, so a failing experiment surfaces exactly as it would
 // serially.
-func (p *Pool) Run(n int, fn func(i int)) {
+func Run(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -99,13 +78,4 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	if panicked {
 		panic(panicVal)
 	}
-}
-
-// Wall measures fn's wall-clock duration on the host. Simulated time is
-// unaffected — this exists for the benchmark mode's host-side speedup
-// reporting only.
-func Wall(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

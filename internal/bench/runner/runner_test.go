@@ -1,16 +1,23 @@
 package runner
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
+// setProcs runs the rest of the test at GOMAXPROCS=n, the pool's width.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestRunCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		p := New(workers)
+		setProcs(t, workers)
 		const n = 257
 		var hits [n]atomic.Int32
-		p.Run(n, func(i int) { hits[i].Add(1) })
+		Run(n, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
@@ -20,27 +27,38 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestRunZeroAndNegative(t *testing.T) {
-	p := New(4)
 	called := false
-	p.Run(0, func(int) { called = true })
-	p.Run(-3, func(int) { called = true })
+	Run(0, func(int) { called = true })
+	Run(-3, func(int) { called = true })
 	if called {
 		t.Fatal("fn called for empty range")
 	}
 }
 
-func TestNewDefaultsToHostParallelism(t *testing.T) {
-	if New(0).Workers() < 1 {
-		t.Fatal("default pool has no workers")
-	}
-	if got := New(3).Workers(); got != 3 {
-		t.Fatalf("Workers() = %d, want 3", got)
+// TestRunBoundedByGOMAXPROCS checks the pool's width: never more calls in
+// flight than GOMAXPROCS.
+func TestRunBoundedByGOMAXPROCS(t *testing.T) {
+	setProcs(t, 3)
+	var inFlight, peak atomic.Int32
+	Run(64, func(int) {
+		now := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if now <= p || peak.CompareAndSwap(p, now) {
+				break
+			}
+		}
+		runtime.Gosched()
+		inFlight.Add(-1)
+	})
+	if p := peak.Load(); p < 1 || p > 3 {
+		t.Fatalf("peak calls in flight = %d, want 1..3", p)
 	}
 }
 
 func TestRunPropagatesPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		p := New(workers)
+		setProcs(t, workers)
 		func() {
 			defer func() {
 				r := recover()
@@ -51,7 +69,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want \"boom\"", workers, r)
 				}
 			}()
-			p.Run(8, func(i int) {
+			Run(8, func(i int) {
 				if i == 5 {
 					panic("boom")
 				}
@@ -61,25 +79,14 @@ func TestRunPropagatesPanic(t *testing.T) {
 }
 
 func TestRunSerialOrder(t *testing.T) {
-	// A one-worker pool must preserve index order exactly (it is the
-	// serial fallback the equivalence tests compare against).
-	p := New(1)
+	// At GOMAXPROCS=1 the pool must preserve index order exactly (it is
+	// the serial run the equivalence tests compare against).
+	setProcs(t, 1)
 	var order []int
-	p.Run(5, func(i int) { order = append(order, i) })
+	Run(5, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial order = %v", order)
 		}
-	}
-}
-
-func TestWallIsPositive(t *testing.T) {
-	ran := false
-	d := Wall(func() { ran = true })
-	if !ran {
-		t.Fatal("Wall did not invoke fn")
-	}
-	if d < 0 {
-		t.Fatalf("negative duration %v", d)
 	}
 }
